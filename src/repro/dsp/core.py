@@ -23,13 +23,14 @@ simulation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro._util import mask
 from repro.dsp.fixedpoint import ACC_WIDTH, OPERAND_WIDTH
 from repro.dsp.isa import (
     ControlWord,
+    INSTRUCTION_WIDTH,
     Instruction,
     N_REGISTERS,
     Opcode,
@@ -48,11 +49,16 @@ from repro.dsp.mac import (
 
 _REG_MASK = mask(OPERAND_WIDTH)
 _ACC_MASK = mask(ACC_WIDTH)
+_WORD_MASK = mask(INSTRUCTION_WIDTH)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdEx:
-    """ID/EX pipeline latch: decoded instruction plus fetched operands."""
+    """ID/EX pipeline latch: decoded instruction plus fetched operands.
+
+    Frozen, like :class:`ExWb`: the pipeline replaces its latches every
+    cycle and never edits one, so state copies can share them.
+    """
 
     instr: Instruction
     ctrl: ControlWord
@@ -60,7 +66,7 @@ class IdEx:
     opb: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExWb:
     """EX/WB pipeline latch.
 
@@ -90,6 +96,7 @@ class CoreState:
     out_latch: Tuple[int, int] = (0, 0)
 
     def copy(self) -> "CoreState":
+        """An independent copy; the frozen pipeline latches are shared."""
         return CoreState(
             regs=list(self.regs),
             acc_a=self.acc_a,
@@ -99,8 +106,8 @@ class CoreState:
             macreg=self.macreg,
             buffer=self.buffer,
             if_id=self.if_id,
-            id_ex=replace(self.id_ex) if self.id_ex else None,
-            ex_wb=replace(self.ex_wb) if self.ex_wb else None,
+            id_ex=self.id_ex,
+            ex_wb=self.ex_wb,
             out_latch=self.out_latch,
         )
 
@@ -191,6 +198,8 @@ class DspCore:
              overrides: Optional[Overrides] = None,
              trace: Optional[Trace] = None) -> StepResult:
         """Advance the core by one clock cycle, fetching ``instr_word``."""
+        if not overrides and trace is None:
+            return self._step_fast(instr_word)
         s = self.state
 
         def emit(name: str, inputs: Dict[str, int], output: int,
@@ -256,7 +265,7 @@ class DspCore:
         # A 3-deep family core has no IF/ID latch: it decodes the incoming
         # instruction word in the same cycle it is fetched.
         new_id_ex: Optional[IdEx] = None
-        fetched = instr_word & mask(17) if self._depth == 3 else s.if_id
+        fetched = instr_word & _WORD_MASK if self._depth == 3 else s.if_id
         if fetched is not None:
             instr = decode(fetched)
             ctrl_packed = emit(
@@ -298,18 +307,100 @@ class DspCore:
 
         s.ex_wb = new_ex_wb
         s.id_ex = new_id_ex
-        s.if_id = None if self._depth == 3 else instr_word & mask(17)
+        s.if_id = None if self._depth == 3 else instr_word & _WORD_MASK
+        return self._end_cycle(out_valid, out_value)
 
+    def _end_cycle(self, out_valid: bool, out_value: int) -> StepResult:
+        """Apply the stuck bits and drive the output port."""
         if self.stuck_bits:
             self._apply_stuck_bits()
         if self._depth >= 5:
             # Registered output port: what the caller sees this cycle is
             # the value latched at the end of the previous one.
+            s = self.state
             prev_valid, prev_value = s.out_latch
             s.out_latch = (1 if out_valid else 0, out_value)
             return StepResult(out_valid=bool(prev_valid),
                               out_value=prev_value)
         return StepResult(out_valid=out_valid, out_value=out_value)
+
+    def _step_fast(self, instr_word: int) -> StepResult:
+        """:meth:`step` for an untraced cycle without overrides.
+
+        The same dataflow without the component bookkeeping: no emit
+        closure or per-component input dicts, no decoder pack/unpack
+        round trip (the cached control word *is* the decoded one), and
+        the MAC reads the control word directly.  Keep it in lock-step
+        with :meth:`step`; the core tests check the two agree cycle for
+        cycle on every pipeline depth.
+        """
+        s = self.state
+        reg_mask = self._reg_mask
+        addr_mask = self._addr_mask
+
+        # WB: MUX7 reads the stored MacReg/buffer values.  A register
+        # index of -1 below means "no register".
+        out_valid = False
+        out_value = 0
+        wb = s.ex_wb
+        wb_value = 0
+        wb_dest = -1
+        if wb is not None:
+            wb_ctrl = wb.ctrl
+            wb_value = (s.buffer if wb_ctrl.mux7_buffer
+                        else s.macreg) & reg_mask
+            if wb_ctrl.out_en:
+                out_valid = True
+                out_value = wb_value
+            if wb_ctrl.reg_we:
+                wb_dest = wb.instr.dest & addr_mask
+
+        # EX
+        new_ex_wb: Optional[ExWb] = None
+        bypass_dest = -1
+        bypass_value = 0
+        stage = s.id_ex
+        if stage is not None:
+            ctrl = stage.ctrl
+            mac = MacDatapath._evaluate_fast(stage.opa, stage.opb, ctrl,
+                                             s.acc_a, s.acc_b,
+                                             self._mac_params)
+            s.acc_a = mac.acc_a & self._acc_mask
+            s.acc_b = mac.acc_b & self._acc_mask
+            buffer_value = stage.instr.imm if ctrl.buf_imm else stage.opb
+            s.macreg = mac.limited & reg_mask
+            s.buffer = buffer_value & reg_mask
+            new_ex_wb = ExWb(instr=stage.instr, ctrl=ctrl)
+            if ctrl.reg_we:
+                bypass_value = (buffer_value if ctrl.mux7_buffer
+                                else mac.limited) & reg_mask
+                bypass_dest = stage.instr.dest & addr_mask
+
+        # ID, with distance-1 (EX) and distance-2 (temp) forwarding.
+        new_id_ex: Optional[IdEx] = None
+        fetched = instr_word & _WORD_MASK if self._depth == 3 else s.if_id
+        if fetched is not None:
+            instr = decode(fetched)
+            a = instr.rega & addr_mask
+            b = instr.regb & addr_mask
+            opa = (bypass_value if a == bypass_dest
+                   else s.temp if a == wb_dest else s.regs[a]) & reg_mask
+            opb = (bypass_value if b == bypass_dest
+                   else s.temp if b == wb_dest else s.regs[b]) & reg_mask
+            new_id_ex = IdEx(instr=instr,
+                             ctrl=self._control_word(instr.opcode),
+                             opa=opa, opb=opb)
+
+        # Register write and latch advance.
+        if wb_dest >= 0:
+            s.regs[wb_dest] = wb_value
+        if bypass_dest >= 0:
+            s.temp = bypass_value
+            s.temp_dest = bypass_dest
+        s.ex_wb = new_ex_wb
+        s.id_ex = new_id_ex
+        s.if_id = None if self._depth == 3 else instr_word & _WORD_MASK
+        return self._end_cycle(out_valid, out_value)
 
     # ------------------------------------------------------------------
     def run(self, words, overrides_by_cycle=None) -> List[StepResult]:

@@ -22,7 +22,7 @@ simulator build on.  The unrolled MUXg instances of the paper
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from repro._util import bits, mask
 from repro.dsp.fixedpoint import ACC_WIDTH, OPERAND_WIDTH
@@ -213,12 +213,17 @@ class MacDatapath:
         return MacResult(acc_a=next_a, acc_b=next_b, limited=limited)
 
     @staticmethod
-    def _evaluate_fast(opa: int, opb: int, ctrl: MacControls,
+    def _evaluate_fast(opa: int, opb: int,
+                       ctrl: Union[MacControls, ControlWord],
                        acc_a: int, acc_b: int,
                        params: MacParams = PAPER_MAC) -> MacResult:
         """Allocation-light twin of :meth:`evaluate` for untraced,
         non-injected cycles (the fault simulators' hot path).  Keep the
-        dataflow in lock-step with :meth:`evaluate`."""
+        dataflow in lock-step with :meth:`evaluate`.
+
+        ``ctrl`` may be the full :class:`ControlWord`: only the MAC
+        control attributes are read, so the core's fast path skips the
+        :class:`MacControls` copy."""
         p = params
         product = multiplier_reference(opa, opb, p.operand_width, p.acc_width)
         x = 0 if ctrl.muxa_zero else product

@@ -13,11 +13,21 @@ metrics do:
 
 2. **Exact propagation (mixed level).**  For a fault first excited at
    cycle *t*, the core state at *t* is still fault-free, so the simulator
-   forks the behavioural core from the nearest checkpoint, replays to *t*,
-   and runs forward with the fault *continuously* injected — the
-   component's output is overridden each cycle with its gate-level faulty
-   evaluation.  The fault is detected when the output-port stream diverges
-   from the fault-free run within the propagation window.
+   forks the behavioural core from the clean state recorded before cycle
+   *t* (the recording pass keeps one per cycle, so nothing is replayed)
+   and runs forward with the error injected.  Tier 1 injects the locally
+   simulated faulty output word for cycle *t* only; tier 2 overrides the
+   component's output every cycle with its gate-level faulty evaluation.
+   The fault is detected when the output-port stream diverges from the
+   fault-free run within the propagation window.
+
+   A tier-1 window stops early once the fork's state equals the recorded
+   clean state of the same cycle.  The core is deterministic in its state
+   and the instruction words, and after the single injected cycle the
+   fork runs fault-free, so from then on it repeats the clean machine
+   exactly: the error is masked for the rest of the window and the exit
+   changes no grade.  Tier-2 and storage-fault runs keep their full
+   windows because their faults persist.
 
 3. **Storage faults (word level).**  Register/accumulator/register-file
    faults use exact word-level models: stuck storage bits are persistent
@@ -340,16 +350,17 @@ class TraceContext:
     """The fault-free execution trace, recorded once and shared by every
     grading unit.
 
-    Holds the clean output-port stream, the periodic core-state
-    checkpoints, and each combinational component's recorded input
-    stream per block.  Grading any single fault against this context is
-    an independent, idempotent operation — the decomposition the
-    resilient campaign runner builds on.
+    Holds the clean output-port stream, the clean core state before every
+    cycle (``states[t]``, plus the final state at ``states[len(words)]``)
+    and each combinational component's recorded input stream per block.
+    Grading any single fault against this context is an independent,
+    idempotent operation — the decomposition the resilient campaign
+    runner builds on.
     """
 
     words: List[int]
     clean_ports: List[int]
-    checkpoints: Dict[int, CoreState] = field(repr=False, default_factory=dict)
+    states: List[CoreState] = field(repr=False, default_factory=list)
     block_records: Dict[int, Dict[str, Dict]] = field(repr=False,
                                                       default_factory=dict)
     block_size: int = 256
@@ -403,6 +414,10 @@ class HierarchicalFaultSimulator:
         # ``engine`` selects the component-level fault-propagation
         # engine when the default universe is built here; an explicit
         # universe carries its own engine choice (and family build).
+        # ``checkpoint_every`` no longer affects grading (forks start from
+        # the per-cycle states of :meth:`prepare`); it is still validated
+        # and stays a campaign-fingerprint key so that existing campaign
+        # checkpoint files keep resuming.
         self.universe = universe if universe is not None \
             else DspFaultUniverse(engine=engine)
         self.build = self.universe.build
@@ -453,8 +468,8 @@ class HierarchicalFaultSimulator:
 
     # ------------------------------------------------------------------
     def prepare(self, words: List[int]) -> TraceContext:
-        """One fault-free pass: record ports, checkpoints and per-block
-        component input streams."""
+        """One fault-free pass: record ports, per-cycle core states and
+        per-block component input streams."""
         with obs.span("hier.prepare", words=len(words)), \
                 obs.section("sim.hier.prepare"):
             return self._prepare(words)
@@ -468,7 +483,7 @@ class HierarchicalFaultSimulator:
         names = list(self.universe.comb_faults)
         core = self._make_core()
         clean_ports: List[int] = []
-        checkpoints: Dict[int, CoreState] = {}
+        states: List[CoreState] = []
         block_records: Dict[int, Dict[str, Dict]] = {}
         n = len(words)
         for block_start in range(0, n, self.block_size):
@@ -478,8 +493,7 @@ class HierarchicalFaultSimulator:
             }
             for offset, word in enumerate(block_words):
                 t = block_start + offset
-                if offset % self.checkpoint_every == 0:
-                    checkpoints[t] = core.state.copy()
+                states.append(core.state.copy())
                 trace: Dict = {}
                 clean_ports.append(core.step(word, trace=trace).port)
                 for name in names:
@@ -491,8 +505,9 @@ class HierarchicalFaultSimulator:
                     for port, value in activity.inputs.items():
                         rec["inputs"].setdefault(port, []).append(value)
             block_records[block_start] = records
+        states.append(core.state.copy())
         return TraceContext(
-            words=words, clean_ports=clean_ports, checkpoints=checkpoints,
+            words=words, clean_ports=clean_ports, states=states,
             block_records=block_records, block_size=self.block_size,
         )
 
@@ -552,12 +567,8 @@ class HierarchicalFaultSimulator:
         return None
 
     def _fork_at(self, ctx: TraceContext, t: int) -> DspCore:
-        """A clean core replayed up to (not including) cycle ``t``."""
-        start = t - t % self.checkpoint_every
-        fork = self._make_core(state=ctx.checkpoints[start].copy())
-        for cycle in range(start, t):
-            fork.step(ctx.words[cycle])
-        return fork
+        """A clean core in the recorded state before cycle ``t``."""
+        return self._make_core(state=ctx.states[t].copy())
 
     def _propagates(self, name, faulty_word, t, ctx: TraceContext,
                     limit: int) -> bool:
@@ -568,16 +579,23 @@ class HierarchicalFaultSimulator:
         runs fault-free over the propagation window.  (Single-cycle
         injection slightly under-approximates a persistent fault; multiple
         start cycles per block compensate.  See the module docstring.)
+
+        The window ends early, undetected, once the fork's state equals
+        the clean state: from there the fork repeats the clean run.
         """
+        obs.incr("sim.hier.tier1_starts")
         fork = self._fork_at(ctx, t)
-        end = min(limit, t + self.propagation_window)
-        fork_port = fork.step(ctx.words[t],
-                              overrides={name: faulty_word}).port
-        if fork_port != ctx.clean_ports[t]:
-            return True
-        for cycle in range(t + 1, end):
-            if fork.step(ctx.words[cycle]).port != ctx.clean_ports[cycle]:
+        words, clean_ports, states = ctx.words, ctx.clean_ports, ctx.states
+        overrides: Optional[Dict[str, int]] = {name: faulty_word}
+        for cycle in range(t, min(limit, t + self.propagation_window)):
+            if fork.step(words[cycle], overrides).port != clean_ports[cycle]:
+                obs.incr("sim.hier.tier1_detected")
                 return True
+            if fork.state == states[cycle + 1]:
+                obs.incr("sim.hier.tier1_converged")
+                return False
+            overrides = None
+        obs.incr("sim.hier.window_exhausted")
         return False
 
     def _propagates_continuous(self, name, spec, sim, fault, t,
