@@ -35,7 +35,6 @@ parent's failure schedule stays deterministic.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import random
 import threading
@@ -72,15 +71,6 @@ CLASS_POINTS = {
     "corrupt": "file",                # bit flip in a checkpoint record
     "truncate": "file",               # checkpoint tail chopped off
     "duplicate": "file",              # trailing record duplicated
-    "scheduler_crash": "service.tick",    # SIGKILL of the scheduler loop
-    "lease_lost": "service.heartbeat",    # partition: ownership revoked
-    "heartbeat_delay": "service.heartbeat",  # renewal outrun by the TTL
-    "queue_torn_write": "queue.append",   # torn journal append + SIGKILL
-    "net_partition": "transport.send",    # frame lost: link partitioned
-    "net_delay": "transport.send",        # frame delivered late
-    "net_dup": "transport.send",          # frame delivered twice
-    "net_reorder": "transport.send",      # stale frame arrives out of order
-    "worker_host_loss": "worker.unit",    # the whole worker host dies
 }
 
 FAILURE_CLASSES = tuple(CLASS_POINTS)
@@ -89,22 +79,6 @@ FAILURE_CLASSES = tuple(CLASS_POINTS)
 #: that is recoverable in a serial campaign with a golden twin.
 DEFAULT_SOAK_CLASSES = (
     "kill", "torn", "io", "hang", "corrupt", "truncate", "duplicate",
-)
-
-#: The classes the ``repro serve --soak`` service soak enables by
-#: default: scheduler death, worker death mid-unit, partition-shaped
-#: lease failures and torn journal writes.
-SERVICE_SOAK_CLASSES = (
-    "kill", "scheduler_crash", "lease_lost", "heartbeat_delay",
-    "queue_torn_write",
-)
-
-#: The classes ``repro serve --soak --distributed`` enables by default:
-#: scheduler death, whole-worker-host death, every network failure mode
-#: (partition, delay, duplication, reordering) and torn journal writes.
-DISTRIBUTED_SOAK_CLASSES = (
-    "scheduler_crash", "worker_host_loss", "net_partition", "net_delay",
-    "net_dup", "net_reorder", "queue_torn_write",
 )
 
 #: Classes allowed to act inside a forked pool worker.
@@ -238,13 +212,6 @@ class ChaosMonkey:
         if name == "torn":
             self._torn_write(ctx)
             raise ChaosKill("chaos: simulated SIGKILL mid-append")
-        if name == "scheduler_crash":
-            raise ChaosKill("chaos: scheduler SIGKILLed mid-tick")
-        if name == "worker_host_loss":
-            raise ChaosKill("chaos: worker host lost mid-campaign")
-        if name == "queue_torn_write":
-            self._torn_write(ctx)
-            raise ChaosKill("chaos: scheduler SIGKILLed mid-journal-append")
         if name == "io":
             raise OSError(28, "chaos: no space left on device",
                           ctx.get("store") and ctx["store"].path)

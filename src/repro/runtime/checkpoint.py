@@ -42,7 +42,8 @@ FORMAT_VERSION = 2
 
 #: A ``.tmp`` younger than this many seconds is left alone by the sweep:
 #: it may belong to a *live* writer mid-``create`` in another process
-#: (several leased service workers can share a checkpoint directory).
+#: (two ``repro grade`` or ``repro sweep`` runs can point at one
+#: directory).
 #: A crash orphan, by contrast, only gets older.
 TMP_SWEEP_GRACE_SECONDS = 30.0
 
@@ -69,12 +70,13 @@ class CheckpointStore:
         ``os.replace`` leaves the orphan behind; it is dead weight (and
         an invariant violation) until someone sweeps it.
 
-        Two processes may share a checkpoint directory (leased service
-        workers running side by side), so the sweep must not race a
-        live writer: only files older than ``grace`` seconds are swept
-        — a writer completes its ``create`` in milliseconds, while a
-        crash orphan only ages — and a concurrent sweeper winning the
-        unlink (ENOENT) is silently tolerated.
+        Two processes may share a checkpoint directory (two ``repro
+        grade`` or ``repro sweep`` runs pointed at one directory), so
+        the sweep must not race a live writer: only files older than
+        ``grace`` seconds are swept — a writer completes its ``create``
+        in milliseconds, while a crash orphan only ages — and a
+        concurrent sweeper winning the unlink (ENOENT) is silently
+        tolerated.
         """
         tmp = self.path + ".tmp"
         try:

@@ -1,9 +1,12 @@
 """Tests for the deterministic chaos injector and the soak harness."""
 
 import os
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.runtime import chaos
 from repro.runtime.chaos import (
     ChaosConfig,
@@ -55,6 +58,18 @@ def test_config_rejects_certain_probability():
     with pytest.raises(ConfigError, match="probability"):
         ChaosConfig(seed=1, probability=1.0).validate()
     ChaosConfig(seed=1, probability=0.99).validate()  # fine
+
+
+def test_every_live_class_point_has_a_caller():
+    """A class whose injection point no code reaches can never fire, so
+    deleting the last caller of a point must delete its classes too."""
+    package = Path(repro.__file__).parent
+    call = re.compile(r"\b(?:inject|_chaos)\(\s*[\"']([\w.]+)[\"']")
+    called = {point for path in package.rglob("*.py")
+              for point in call.findall(path.read_text(encoding="utf-8"))}
+    orphans = {name: point for name, point in chaos.CLASS_POINTS.items()
+               if point != "file" and point not in called}
+    assert orphans == {}
 
 
 # ----------------------------------------------------------------------
