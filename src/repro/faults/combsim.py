@@ -9,11 +9,6 @@ Besides plain detection this module exposes :class:`LocalDetection` — the
 per-pattern *faulty output words* — which is what the hierarchical core
 fault simulator needs to know which erroneous value appears at a component
 boundary on which cycle.
-
-Cone propagation runs on one of two engines (``engine=`` at
-construction): the interpreted per-gate walk, or the batched
-compiled-cone engine (:mod:`repro.faults.batched`), which is bit-for-bit
-identical and several times faster.
 """
 
 from __future__ import annotations
@@ -45,47 +40,19 @@ class LocalDetection:
 
 
 class CombFaultSimulator:
-    """Fault-simulates a combinational netlist under stuck-at faults.
-
-    Two fault-propagation engines share every entry point:
-
-    * ``engine="interpreted"`` (default) — the original per-gate
-      :func:`eval_gate` cone walk;
-    * ``engine="batched"`` — compiled cone kernels with wide pattern
-      blocks and mask-only fault dropping
-      (:mod:`repro.faults.batched`), typically several times faster
-      under sustained grading and bit-for-bit identical (enforced by
-      the differential sweep).  Kernels compile adaptively: a site is
-      walked interpreted until it has been excited more than the
-      engine's compile threshold, so short-lived faults never pay
-      compile time.
-
-    ``block_width`` (batched only) sets the patterns-per-word target
-    that :meth:`run_with_dropping` re-chunks its incoming blocks to.
-    """
+    """Fault-simulates a combinational netlist under stuck-at faults."""
 
     def __init__(self, netlist: Netlist,
-                 fault_list: Optional[FaultList] = None,
-                 engine: str = "interpreted",
-                 block_width: Optional[int] = None):
-        from repro.faults.batched import ENGINES, BatchedConeEngine
+                 fault_list: Optional[FaultList] = None):
         if netlist.dffs:
             raise ConfigError(
                 f"netlist {netlist.name!r} is sequential; use SeqFaultSimulator"
-            )
-        if engine not in ENGINES:
-            raise ConfigError(
-                f"unknown fault-simulation engine {engine!r}; "
-                f"expected one of {ENGINES}"
             )
         self.netlist = netlist
         self.fault_list = fault_list or collapse_faults(netlist)
         self.sim = CombSimulator(netlist)
         from repro.runtime.cache import compiled_evaluator
         self._compiled = compiled_evaluator(netlist)
-        self.engine = engine
-        self.batched_engine = BatchedConeEngine(netlist, block_width) \
-            if engine == "batched" else None
         self._cones: Dict[int, List[Gate]] = {}
         self._cone_outputs: Dict[int, List[int]] = {}
         output_set = set(netlist.outputs)
@@ -137,15 +104,6 @@ class CombFaultSimulator:
         stuck_value = width_mask if fault.stuck_at else 0
         if good[fault.net] == stuck_value:
             return 0, {}  # fault never excited in this block
-        if self.batched_engine is not None:
-            kernel = self.batched_engine.kernel_or_none(fault.net)
-            if kernel is not None:
-                return kernel.propagate(good, stuck_value, width_mask)
-        return self._cone_walk(fault, good, stuck_value, width_mask)
-
-    def _cone_walk(self, fault: Fault, good: List[int], stuck_value: int,
-                   width_mask: int) -> Tuple[int, Dict[int, int]]:
-        """The interpreted gate-by-gate cone re-evaluation (no dispatch)."""
         cone, cone_outputs = self._cone(fault.net)
         changed: Dict[int, int] = {fault.net: stuck_value}
         for gate in cone:
@@ -160,26 +118,6 @@ class CombFaultSimulator:
         if fault.net in self._output_set:
             detected |= stuck_value ^ good[fault.net]
         return detected, changed
-
-    def detect_mask(self, fault: Fault, good: List[int],
-                    n_patterns: int) -> int:
-        """Packed detected-pattern mask only (no faulty values).
-
-        The batched engine's compiled kernels answer this without
-        materialising the changed-net dict — the fault-dropping fast
-        path.  During a site's warm-up (and always on the interpreted
-        engine) it falls back to ``simulate_fault(...)[0]``.
-        """
-        if self.batched_engine is not None:
-            width_mask = (1 << n_patterns) - 1
-            stuck_value = width_mask if fault.stuck_at else 0
-            if good[fault.net] == stuck_value:
-                return 0
-            kernel = self.batched_engine.kernel_or_none(fault.net)
-            if kernel is not None:
-                return kernel.detect(good, stuck_value, width_mask)
-            return self._cone_walk(fault, good, stuck_value, width_mask)[0]
-        return self.simulate_fault(fault, good, n_patterns)[0]
 
     # ------------------------------------------------------------------
     def detect(self, bus_patterns: Mapping[str, Sequence[int]],
@@ -199,7 +137,7 @@ class CombFaultSimulator:
             result: Dict[Fault, int] = {}
             for fault in (faults if faults is not None
                           else self.fault_list.faults):
-                result[fault] = self.detect_mask(fault, good, n_patterns)
+                result[fault] = self.simulate_fault(fault, good, n_patterns)[0]
         obs.incr("sim.comb.faults_graded", len(result))
         return result
 
@@ -215,9 +153,6 @@ class CombFaultSimulator:
         """
         remaining = list(faults if faults is not None else self.fault_list.faults)
         with obs.section("sim.comb.run_with_dropping"):
-            if self.batched_engine is not None:
-                from repro.faults.batched import drop_faults
-                return drop_faults(self, blocks, remaining)
             first_detect: Dict[Fault, Optional[int]] = \
                 {f: None for f in remaining}
             offset = 0

@@ -44,7 +44,7 @@ fault simulation on the simple datapath.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro._util import mask
@@ -126,14 +126,11 @@ class DspFaultUniverse:
 
     def __init__(self, components: Optional[Iterable[str]] = None,
                  include_regfile: bool = True,
-                 engine: str = "interpreted",
-                 block_width: Optional[int] = None,
                  build=None):
         self.build = build
         registry = COMPONENTS if build is None else build.components
         names = list(components) if components is not None else \
             [spec.name for spec in registry]
-        self.engine = engine
         self.comb_faults: Dict[str, List[Fault]] = {}
         self.comb_simulators: Dict[str, CombFaultSimulator] = {}
         self.storage_faults: List[StorageFault] = []
@@ -154,10 +151,8 @@ class DspFaultUniverse:
                 internal = [f for f in fault_list.faults
                             if f.net not in pi_nets]
                 self.comb_faults[name] = internal
-                self.comb_simulators[name] = CombFaultSimulator(
-                    netlist, fault_list, engine=engine,
-                    block_width=block_width,
-                )
+                self.comb_simulators[name] = \
+                    CombFaultSimulator(netlist, fault_list)
             else:
                 self.storage_faults.extend(_register_faults(spec))
         if include_regfile:
@@ -333,6 +328,8 @@ def _spread(items: List[int], k: int) -> List[int]:
         return []
     if len(items) <= k:
         return items
+    if k == 1:
+        return items[:1]
     step = (len(items) - 1) / (k - 1)
     picked = []
     for i in range(k):
@@ -409,17 +406,13 @@ class HierarchicalFaultSimulator:
         propagation_window: int = 48,
         max_starts_per_block: int = 8,
         max_continuous_starts: int = 2,
-        engine: str = "interpreted",
     ):
-        # ``engine`` selects the component-level fault-propagation
-        # engine when the default universe is built here; an explicit
-        # universe carries its own engine choice (and family build).
         # ``checkpoint_every`` no longer affects grading (forks start from
         # the per-cycle states of :meth:`prepare`); it is still validated
         # and stays a campaign-fingerprint key so that existing campaign
         # checkpoint files keep resuming.
         self.universe = universe if universe is not None \
-            else DspFaultUniverse(engine=engine)
+            else DspFaultUniverse()
         self.build = self.universe.build
         if block_size % checkpoint_every:
             raise ConfigError(

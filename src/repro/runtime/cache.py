@@ -1,6 +1,6 @@
 """Content-addressed caches shared by every simulator (and pool worker).
 
-Three memoisation layers back the campaign engine's throughput:
+Two memoisation layers back the campaign engine's throughput:
 
 * **Compiled-evaluator cache.**  :class:`~repro.logic.compiled.CompiledEvaluator`
   construction code-generates and ``exec``-compiles one function per
@@ -10,14 +10,6 @@ Three memoisation layers back the campaign engine's throughput:
   evaluators are cached by **structural hash** (gates, flip-flops, PIs,
   POs — names excluded), so structurally identical netlists share one
   compiled function no matter how many simulator instances exist.
-
-* **Compiled-cone cache.**  The batched fault-grading engine
-  (:mod:`repro.faults.batched`) compiles every fault site's fanout cone
-  into a straight-line kernel
-  (:class:`~repro.logic.compiled.CompiledConeEvaluator`).  Kernels are
-  keyed by ``(structural hash, net id)`` so both stuck-at polarities,
-  every simulator instance, and every pool worker share one compile
-  per site.
 
 * **Good-machine trace cache.**  Fault simulation evaluates the
   fault-free machine once per pattern block and then re-evaluates only
@@ -58,17 +50,15 @@ TRACE_CACHE_MAX = 256
 _LOCK = threading.Lock()
 _COMPILED: Dict[str, object] = {}
 _COMPILED3: Dict[str, object] = {}
-_CONES: Dict[Tuple[str, int], object] = {}
 _TRACE: "OrderedDict[Tuple, List[int]]" = OrderedDict()
 _STATS = {
     "compile_hits": 0, "compile_misses": 0,
-    "cone_hits": 0, "cone_misses": 0,
     "trace_hits": 0, "trace_misses": 0,
 }
 
 #: Cache kinds reported by :func:`cache_stats` (and mirrored by
 #: :func:`repro.harness.perf.cache_delta`).
-CACHE_KINDS = ("compile", "cone", "trace")
+CACHE_KINDS = ("compile", "trace")
 
 
 # ----------------------------------------------------------------------
@@ -136,50 +126,6 @@ def _compiled_for(netlist: Netlist, table: Dict[str, object],
     built = factory(netlist)  # compile outside the lock
     with _LOCK:
         return table.setdefault(key, built)
-
-
-def cone_if_cached(netlist: Netlist, net: int):
-    """The compiled cone kernel for ``net`` if one already exists, else
-    ``None`` — a peek that never compiles.
-
-    The batched engine's adaptive warm-up calls this on every cone walk
-    while a site is below its compile threshold, so a kernel compiled
-    by another simulator instance (or inherited from a pre-fork warm
-    cache) is picked up immediately.  A found kernel counts as a cone
-    hit; absence counts nothing (it is not a compile decision).
-    """
-    key = (netlist_hash(netlist), net)
-    with _LOCK:
-        hit = _CONES.get(key)
-        if hit is not None:
-            _STATS["cone_hits"] += 1
-            obs.incr("cache.cone.hits")
-        return hit
-
-
-def compiled_cone(netlist: Netlist, net: int):
-    """The shared :class:`CompiledConeEvaluator` for one fault site.
-
-    Keyed by ``(structural hash, net id)``: structurally identical
-    netlists assign identical net ids to their gate graphs, so every
-    simulator instance over the same structure — and both stuck-at
-    polarities of the site — share one compiled kernel.
-    """
-    from repro.logic.compiled import CompiledConeEvaluator
-    key = (netlist_hash(netlist), net)
-    with _LOCK:
-        hit = _CONES.get(key)
-        if hit is not None:
-            _STATS["cone_hits"] += 1
-            obs.incr("cache.cone.hits")
-            return hit
-        _STATS["cone_misses"] += 1
-    obs.incr("cache.cone.misses")
-    with obs.section("sim.batched.compile_cone"):
-        built = CompiledConeEvaluator(netlist, net)  # outside the lock
-    obs.observe("sim.batched.cone_gates", built.n_cone_gates)
-    with _LOCK:
-        return _CONES.setdefault(key, built)
 
 
 # ----------------------------------------------------------------------
@@ -263,8 +209,9 @@ def cache_stats() -> Dict[str, float]:
     with _LOCK:
         stats = dict(_STATS)
         stats["compiled_evaluators"] = len(_COMPILED) + len(_COMPILED3)
-        stats["compiled_cones"] = len(_CONES)
         stats["trace_blocks"] = len(_TRACE)
+    # perfbench/child.py reads these for its logic.cone_* metrics.
+    stats["cone_hits"] = stats["cone_misses"] = 0
     for kind in CACHE_KINDS:
         total = stats[f"{kind}_hits"] + stats[f"{kind}_misses"]
         stats[f"{kind}_hit_rate"] = \
@@ -277,7 +224,6 @@ def clear_caches() -> None:
     with _LOCK:
         _COMPILED.clear()
         _COMPILED3.clear()
-        _CONES.clear()
         _TRACE.clear()
         for key in _STATS:
             _STATS[key] = 0

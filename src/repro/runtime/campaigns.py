@@ -80,16 +80,10 @@ class HierarchicalCampaign:
         unit_timeout: Optional[float] = None,
         runner: Optional[CampaignRunner] = None,
         jobs: Optional[int] = None,
-        engine: str = "interpreted",
     ):
-        # ``engine`` picks the component fault-propagation engine
-        # ("interpreted" or "batched") for the default simulator; the
-        # two are bit-for-bit identical, so it is deliberately not part
-        # of the campaign fingerprint — checkpoints resume across
-        # engines.
         from repro.faults.hierarchical import HierarchicalFaultSimulator
         self.simulator = simulator if simulator is not None \
-            else HierarchicalFaultSimulator(engine=engine)
+            else HierarchicalFaultSimulator()
         self.words = list(words)
         self.storage_fault_max_cycles = storage_fault_max_cycles
         self.runner = _default_runner(checkpoint, unit_timeout, runner, jobs)
@@ -186,12 +180,7 @@ class HierarchicalCampaign:
 # Combinational pattern-parallel fault simulation
 # ----------------------------------------------------------------------
 class CombSimCampaign:
-    """Per-fault resumable version of ``CombFaultSimulator.run_with_dropping``.
-
-    The propagation engine (interpreted walk vs batched compiled cones)
-    rides on the supplied ``sim``; grades are bit-identical either way,
-    so checkpoints resume across engine choices.
-    """
+    """Per-fault resumable version of ``CombFaultSimulator.run_with_dropping``."""
 
     def __init__(
         self,

@@ -8,6 +8,10 @@ from repro._util import mask
 from repro.faults.combsim import CombFaultSimulator
 from repro.faults.model import Fault, collapse_faults, full_fault_list
 from repro.logic.builder import NetlistBuilder
+from repro.logic.random_nets import random_netlist
+from repro.logic.simulator import CombSimulator, unpack_output
+from repro.runtime.cache import clear_caches
+from repro.runtime.errors import ConfigError
 from repro.rtl.arith import make_addsub
 from repro.rtl.multiplier import make_multiplier
 
@@ -121,3 +125,60 @@ def test_mismatched_pattern_lengths_rejected():
     sim = CombFaultSimulator(and2())
     with pytest.raises(ValueError):
         sim.detect({"a": [0, 1], "c": [0]})
+
+
+def _random_netlist(seed):
+    return random_netlist(2000 + seed, n_inputs=4 + seed % 5,
+                          n_gates=24 + seed % 33, name=f"randcomb{seed}")
+
+
+def test_detect_rejects_empty_bus_patterns():
+    sim = CombFaultSimulator(_random_netlist(1))
+    with pytest.raises(ConfigError, match="no pattern buses given"):
+        sim.detect({})
+
+
+def test_detect_rejects_unequal_bus_lengths():
+    sim = CombFaultSimulator(_random_netlist(2))
+    with pytest.raises(ConfigError, match="equal length"):
+        sim.detect({"in": [1, 2], "out": [3]})
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_brute_force_reference(seed):
+    """local_detection and faulty_output_word match a serial forced-net
+    faulty machine.
+
+    For every fault and every pattern individually, the faulty machine
+    is rebuilt from scratch by pinning the stuck net in a fresh
+    :class:`CombSimulator` run; the detection mask and the faulty
+    ``out`` words must match what the fault simulator reports.
+    """
+    clear_caches()
+    netlist = _random_netlist(100 + seed)
+    rng = random.Random(("combsim-brute", seed).__repr__())
+    in_nets = netlist.buses["in"]
+    out_nets = netlist.buses["out"]
+    words = [rng.getrandbits(len(in_nets)) for _ in range(6)]
+    block = {"in": words}
+    serial = CombSimulator(netlist)
+    sim = CombFaultSimulator(netlist)
+    for fault in sim.fault_list.faults:
+        expect_mask = 0
+        expect_words = []
+        for k, word in enumerate(words):
+            inputs = {net: (word >> i) & 1
+                      for i, net in enumerate(in_nets)}
+            good = serial.run(inputs, 1)
+            faulty = serial.run(inputs, 1, forced={fault.net: fault.stuck_at})
+            good_word = unpack_output([good[n] for n in out_nets], 0)
+            faulty_word = unpack_output([faulty[n] for n in out_nets], 0)
+            if faulty_word != good_word:
+                expect_mask |= 1 << k
+            expect_words.append(faulty_word)
+        where = f"seed {seed}: {fault.describe(netlist)}"
+        local = sim.local_detection(fault, block, ["out"])
+        assert local.detected_mask == expect_mask, where
+        assert local.faulty_words["out"] == expect_words, where
+        word0 = sim.faulty_output_word(fault, {"in": words[0]}, "out")
+        assert word0 == expect_words[0], where

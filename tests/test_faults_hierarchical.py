@@ -172,3 +172,16 @@ def test_spread_sampling():
     picked = _spread(list(range(100)), 5)
     assert len(picked) == 5
     assert picked[0] == 0 and picked[-1] == 99
+    assert _spread(list(range(10)), 0) == []
+    assert _spread(list(range(10)), 1) == [0]
+    assert _spread(list(range(10)), 2) == [0, 9]
+
+
+def test_single_start_per_block_grades():
+    """One tier-1 and one tier-2 start per block is a legal setting."""
+    sim = HierarchicalFaultSimulator(universe=small_universe(),
+                                     block_size=64, checkpoint_every=16,
+                                     max_starts_per_block=1,
+                                     max_continuous_starts=1)
+    result = sim.run(program_words(10))
+    assert result.coverage_report().n_detected > 0

@@ -13,10 +13,8 @@ from repro.runtime.cache import (
     cache_stats,
     cached_good_values,
     clear_caches,
-    compiled_cone,
     compiled_evaluator,
     compiled_evaluator3,
-    cone_if_cached,
     netlist_hash,
 )
 
@@ -155,72 +153,12 @@ def test_trace_cache_lru_bound(monkeypatch):
 def test_clear_caches_resets_everything():
     netlist = component_by_name("mux7").netlist()
     compiled_evaluator(netlist)
-    compiled_cone(netlist, netlist.gates[0].output)
     CombFaultSimulator(netlist, collapse_faults(netlist)) \
         .good_values(block_for(netlist), 16)
     clear_caches()
     stats = cache_stats()
     assert stats["compiled_evaluators"] == 0
-    assert stats["compiled_cones"] == 0
     assert stats["trace_blocks"] == 0
     assert stats["compile_hits"] == stats["compile_misses"] == 0
     assert stats["cone_hits"] == stats["cone_misses"] == 0
     assert stats["trace_hits"] == stats["trace_misses"] == 0
-
-
-# ----------------------------------------------------------------------
-# Compiled-cone cache (batched fault-simulation engine)
-# ----------------------------------------------------------------------
-def test_compiled_cone_shared_across_independent_builds():
-    a = fresh_netlist()
-    b = fresh_netlist()
-    net = a.gates[0].output  # identical structures assign identical ids
-    assert compiled_cone(a, net) is compiled_cone(b, net)
-    stats = cache_stats()
-    assert stats["cone_misses"] == 1
-    assert stats["cone_hits"] == 1
-    assert stats["compiled_cones"] == 1
-
-
-def test_compiled_cone_keyed_per_site():
-    netlist = fresh_netlist()
-    sites = [gate.output for gate in netlist.gates[:3]]
-    kernels = {id(compiled_cone(netlist, net)) for net in sites}
-    assert len(kernels) == len(sites)
-    assert cache_stats()["compiled_cones"] == len(sites)
-
-
-def test_cone_if_cached_peeks_without_compiling():
-    netlist = fresh_netlist()
-    net = netlist.gates[0].output
-    assert cone_if_cached(netlist, net) is None
-    # A peek is not a compile decision: absence counts nothing.
-    assert cache_stats()["cone_misses"] == 0
-    built = compiled_cone(netlist, net)
-    assert cone_if_cached(netlist, net) is built
-    assert cache_stats()["cone_hits"] == 1
-
-
-def test_batched_engine_adopts_shared_kernels_during_warmup():
-    """A kernel compiled elsewhere is used immediately, warm-up
-    threshold notwithstanding (pre-fork warm caches, sibling sims)."""
-    from repro.faults.batched import BatchedConeEngine
-    netlist = fresh_netlist()
-    net = netlist.gates[0].output
-    cold = BatchedConeEngine(netlist, compile_threshold=5)
-    assert cold.kernel_or_none(net) is None       # warming up
-    built = compiled_cone(fresh_netlist(), net)   # a sibling compiles it
-    warm = BatchedConeEngine(netlist, compile_threshold=5)
-    assert warm.kernel_or_none(net) is built
-
-
-def test_batched_engine_compiles_after_threshold():
-    from repro.faults.batched import BatchedConeEngine
-    netlist = fresh_netlist()
-    net = netlist.gates[0].output
-    engine = BatchedConeEngine(netlist, compile_threshold=2)
-    assert engine.kernel_or_none(net) is None
-    assert engine.kernel_or_none(net) is None
-    kernel = engine.kernel_or_none(net)           # third walk compiles
-    assert kernel is not None
-    assert cone_if_cached(netlist, net) is kernel
