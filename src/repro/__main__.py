@@ -689,6 +689,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if getattr(args, "jobs", None) is not None:
             from repro.runtime.pool import resolve_jobs
             resolve_jobs(args.jobs)  # fail fast on a bad --jobs value
+        if getattr(args, "unit_timeout", None) is not None:
+            # Fail fast: the runner would reject it only after the
+            # metrics table and the program are built.
+            from repro.runtime.runner import check_timeout
+            check_timeout("--unit-timeout", args.unit_timeout)
         return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.atpg.podem import Podem
 from repro.atpg.unroll import UnrolledNetlist, unroll
 from repro.dsp.gatelevel import make_gatelevel_core
 from repro.faults.coverage import CoverageReport
-from repro.faults.model import Fault, collapse_faults
+from repro.faults.model import Fault, FaultList, collapse_faults
+from repro.faults.seqsim import SeqFaultSimulator
 from repro.logic.netlist import Netlist
 
 
@@ -60,6 +61,135 @@ class AtpgBaselineResult:
         )
 
 
+@dataclass
+class AtpgSetup:
+    """What every per-fault attack shares: the unrolled core, the PODEM
+    engine and the faults the random phase left behind."""
+
+    unrolled: UnrolledNetlist
+    engine: Podem
+    survivors: List[Fault]
+    random_detected: int
+    #: the unrolled ``instr`` bus of each frame, for packing patterns
+    instr_nets: List[List[int]]
+
+
+def setup_atpg_baseline(
+    netlist: Optional[Netlist] = None,
+    n_frames: int = 6,
+    backtrack_limit: int = 400,
+    fault_sample: Optional[int] = 300,
+    seed: int = 5,
+    random_phase_sequences: int = 1,
+    random_phase_length: int = 32,
+    guided: bool = False,
+) -> AtpgSetup:
+    """Unroll the core, sample its faults and run the random phase.
+
+    Like any sequential ATPG (TetraMAX included) the run opens with a
+    *random-pattern phase* — a handful of random vector sequences
+    fault-simulated from reset — before deterministic time-frame PODEM
+    attacks the survivors.  ``fault_sample`` grades a deterministic
+    random sample of the collapsed fault universe (the full list takes
+    hours in pure Python); ``None`` targets every fault.
+    """
+    from repro.lint.netlist_rules import warn_on_netlist
+
+    core = netlist if netlist is not None else make_gatelevel_core()
+    warn_on_netlist(core, context="atpg baseline fault universe")
+    unrolled = unroll(core, n_frames)
+    faults = list(collapse_faults(core).faults)
+    if fault_sample is not None and fault_sample < len(faults):
+        faults = random.Random(seed).sample(faults, fault_sample)
+
+    # Random-pattern phase: raw word sequences from reset, fault-parallel.
+    survivors = list(faults)
+    if random_phase_sequences > 0:
+        rng = random.Random(seed + 1)
+        sim = SeqFaultSimulator(
+            core, fault_list=FaultList(netlist=core, faults=list(faults)),
+        )
+        for _ in range(random_phase_sequences):
+            if not survivors:
+                break
+            stimulus = {"instr": [rng.randrange(1 << 17)
+                                  for _ in range(random_phase_length)]}
+            survivors = sim.run_sequence(stimulus,
+                                         faults=survivors).undetected
+    return AtpgSetup(
+        unrolled=unrolled,
+        engine=Podem(unrolled.netlist, backtrack_limit=backtrack_limit,
+                     guided=guided),
+        survivors=survivors,
+        random_detected=len(faults) - len(survivors),
+        instr_nets=[unrolled.frame_bus(frame, "instr")
+                    for frame in range(n_frames)],
+    )
+
+
+def attack(setup: AtpgSetup, fault: Fault,
+           backtrack_limit: Optional[int] = None) -> Dict[str, Any]:
+    """Time-frame PODEM on one fault's per-frame replicas.
+
+    Returns a JSON-ready record: ``status``, ``backtracks``,
+    ``decisions`` and, when detected, ``frames`` — the pattern as one
+    17-bit instruction word per frame.  ``backtrack_limit`` overrides the
+    setup engine's budget (the campaign's degraded retry slashes it).
+    """
+    engine = setup.engine
+    if backtrack_limit is not None:
+        engine = Podem(setup.unrolled.netlist,
+                       backtrack_limit=backtrack_limit,
+                       guided=engine.guided, analysis=engine.analysis)
+    result = engine.generate_multi(setup.unrolled.fault_sites(fault))
+    record: Dict[str, Any] = {"status": result.status,
+                              "backtracks": result.backtracks,
+                              "decisions": result.decisions}
+    if result.detected:
+        record["frames"] = [
+            sum(1 << i for i, net in enumerate(nets)
+                if result.pattern.get(net))
+            for nets in setup.instr_nets
+        ]
+    return record
+
+
+def tally(setup: AtpgSetup,
+          records: Iterable[Optional[Dict[str, Any]]]) -> AtpgBaselineResult:
+    """Fold per-fault attack records into the baseline's result.
+
+    A missing record (``None``, a quarantined campaign unit) counts as
+    aborted.
+    """
+    detected = untestable = aborted = 0
+    total_backtracks = total_decisions = 0
+    patterns: List[List[int]] = []
+    for record in records:
+        record = record or {}
+        total_backtracks += record.get("backtracks", 0)
+        total_decisions += record.get("decisions", 0)
+        status = record.get("status")
+        if status == "detected":
+            detected += 1
+            patterns.append(record.get("frames", []))
+        elif status == "untestable":
+            untestable += 1
+        else:
+            aborted += 1
+    return AtpgBaselineResult(
+        n_faults=len(setup.survivors) + setup.random_detected,
+        n_detected=detected + setup.random_detected,
+        n_untestable_within_frames=untestable,
+        n_aborted=aborted,
+        n_frames=setup.unrolled.n_frames,
+        n_detected_random_phase=setup.random_detected,
+        patterns=patterns,
+        total_backtracks=total_backtracks,
+        total_decisions=total_decisions,
+        guided=setup.engine.guided,
+    )
+
+
 def run_atpg_baseline(
     netlist: Optional[Netlist] = None,
     n_frames: int = 6,
@@ -68,89 +198,19 @@ def run_atpg_baseline(
     seed: int = 5,
     random_phase_sequences: int = 1,
     random_phase_length: int = 32,
-    sample_rng: Optional[random.Random] = None,
-    random_phase_rng: Optional[random.Random] = None,
     guided: bool = False,
 ) -> AtpgBaselineResult:
     """Run the commercial-tool recipe on the flat core.
 
-    Like any sequential ATPG (TetraMAX included) the run opens with a
-    *random-pattern phase* — a handful of random vector sequences
-    fault-simulated from reset — before deterministic time-frame PODEM
-    attacks the survivors.  The random phase is where most of the small
-    coverage such tools achieve on a pipelined core comes from; PODEM then
-    mostly aborts, which is the paper's finding.
-
-    ``fault_sample`` grades a deterministic random sample of the collapsed
-    fault universe (the full list takes hours in pure Python); ``None``
-    targets every fault.  ``sample_rng`` / ``random_phase_rng`` override
-    the default seed-derived streams for the two randomised stages.
+    The random phase (:func:`setup_atpg_baseline`) is where most of the
+    small coverage such tools achieve on a pipelined core comes from;
+    PODEM (:func:`attack`) then mostly aborts, which is the paper's
+    finding.
     """
-    core = netlist if netlist is not None else make_gatelevel_core()
-    unrolled = unroll(core, n_frames)
-    engine = Podem(unrolled.netlist, backtrack_limit=backtrack_limit,
-                   guided=guided)
-
-    faults = list(collapse_faults(core).faults)
-    if fault_sample is not None and fault_sample < len(faults):
-        rng = sample_rng if sample_rng is not None else random.Random(seed)
-        faults = rng.sample(faults, fault_sample)
-
-    # Random-pattern phase: raw word sequences from reset, fault-parallel.
-    random_detected = 0
-    if random_phase_sequences > 0:
-        from repro.faults.model import FaultList
-        from repro.faults.seqsim import SeqFaultSimulator
-        rng = random_phase_rng if random_phase_rng is not None \
-            else random.Random(seed + 1)
-        sim = SeqFaultSimulator(
-            core,
-            fault_list=FaultList(netlist=core, faults=list(faults)),
-        )
-        survivors = list(faults)
-        for _ in range(random_phase_sequences):
-            if not survivors:
-                break
-            stimulus = {"instr": [rng.randrange(1 << 17)
-                                  for _ in range(random_phase_length)]}
-            outcome = sim.run_sequence(stimulus, faults=survivors)
-            survivors = outcome.undetected
-        random_detected = len(faults) - len(survivors)
-        faults = survivors
-
-    detected = untestable = aborted = 0
-    total_backtracks = total_decisions = 0
-    patterns: List[List[int]] = []
-    instr_words_per_frame = [
-        unrolled.frame_bus(frame, "instr") for frame in range(n_frames)
-    ]
-    for fault in faults:
-        result = engine.generate_multi(unrolled.fault_sites(fault))
-        total_backtracks += result.backtracks
-        total_decisions += result.decisions
-        if result.detected and result.pattern is not None:
-            detected += 1
-            frames = []
-            for nets in instr_words_per_frame:
-                word = 0
-                for i, net in enumerate(nets):
-                    if result.pattern.get(net):
-                        word |= 1 << i
-                frames.append(word)
-            patterns.append(frames)
-        elif result.status == "untestable":
-            untestable += 1
-        else:
-            aborted += 1
-    return AtpgBaselineResult(
-        n_faults=len(faults) + random_detected,
-        n_detected=detected + random_detected,
-        n_untestable_within_frames=untestable,
-        n_aborted=aborted,
-        n_frames=n_frames,
-        n_detected_random_phase=random_detected,
-        patterns=patterns,
-        total_backtracks=total_backtracks,
-        total_decisions=total_decisions,
-        guided=guided,
+    setup = setup_atpg_baseline(
+        netlist, n_frames=n_frames, backtrack_limit=backtrack_limit,
+        fault_sample=fault_sample, seed=seed,
+        random_phase_sequences=random_phase_sequences,
+        random_phase_length=random_phase_length, guided=guided,
     )
+    return tally(setup, [attack(setup, fault) for fault in setup.survivors])

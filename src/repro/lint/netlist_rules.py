@@ -19,8 +19,8 @@ machine-checked invariants:
   predictors of slow random-pattern coverage (info only).
 
 ``lint_netlist`` runs every registered netlist rule; ``warn_on_netlist``
-is the warn-only hook the campaign adapters call when they construct a
-fault universe.
+is the warn-only hook called wherever a fault universe is built (the
+hierarchical fault universe, the ATPG baseline setup).
 """
 
 from __future__ import annotations
@@ -507,7 +507,7 @@ def lint_netlist(netlist: Netlist,
 
 
 class LintWarning(UserWarning):
-    """Category used by the warn-only campaign construction hook."""
+    """Category used by the warn-only fault-universe screening hook."""
 
 
 #: Netlists already screened by :func:`warn_on_netlist` this process.
@@ -519,11 +519,10 @@ def warn_on_netlist(netlist: Netlist, context: str = "",
                     ) -> Optional[LintReport]:
     """Warn-only netlist screening for fault-universe construction.
 
-    Campaign adapters call this when they build a fault universe: the
-    netlist rules run once per netlist instance per process, and any
-    findings at ``min_severity`` or above surface as a single
-    :class:`LintWarning` (never an exception — campaigns must keep
-    working on imperfect netlists).  The default threshold is ERROR:
+    Fault-universe builders call this: the netlist rules run once per
+    netlist instance per process, and any findings at ``min_severity``
+    or above surface as a single :class:`LintWarning` (never an
+    exception — grading must keep working on imperfect netlists).  The default threshold is ERROR:
     the paper core's netlists legitimately carry warning-level findings
     (dead tie-off gates, outliers), and a hook that cries wolf on clean
     inputs trains everyone to ignore it.  Disable with ``REPRO_LINT=0``.

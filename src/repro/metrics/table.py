@@ -137,6 +137,61 @@ class MetricsTable:
         return "\n".join(lines)
 
 
+def empty_metrics_table(
+    variants: Optional[Sequence[InstructionVariant]] = None,
+    columns: Optional[Sequence[Column]] = None,
+    build=None,
+) -> MetricsTable:
+    """The table's rows, columns and fault counts, with no cells yet.
+
+    Defaults: every instruction variant and every column of the paper
+    core, or of ``build`` (a :class:`repro.dsp.family.CoreBuild`).
+    """
+    rows = list(variants) if variants is not None else default_variants()
+    components = COMPONENTS if build is None else build.components
+    if columns is not None:
+        cols = list(columns)
+    elif build is None:
+        cols = all_columns()
+    else:
+        cols = build.all_columns()
+    return MetricsTable(
+        rows=rows,
+        columns=cols,
+        fault_counts={
+            spec.name: component_fault_count(spec) for spec in components
+        },
+    )
+
+
+def measure_cells(
+    row: InstructionVariant,
+    columns: Sequence[Column],
+    n_controllability_samples: int = 150,
+    n_observability_good: int = 12,
+    seed: int = 2004,
+    build=None,
+) -> Dict[Column, MetricsCell]:
+    """Measure C and O for one row: a cell per column it exercises.
+
+    The engines draw from streams derived from ``(seed, row label)``, so
+    rows measured one at a time — in any order, in any process — give
+    the numbers a whole-table run gives.
+    """
+    c_values = ControllabilityEngine(
+        n_samples=n_controllability_samples, seed=seed, build=build
+    ).measure(row)
+    o_values = ObservabilityEngine(
+        n_good=n_observability_good, seed=seed + 1, build=build
+    ).measure(row)
+    return {
+        column: MetricsCell(c=c_values.get(column, 0.0),
+                            o=o_values.get(column, 0.0))
+        for column in columns
+        if column in c_values or column in o_values
+    }
+
+
 def build_metrics_table(
     variants: Optional[Sequence[InstructionVariant]] = None,
     n_controllability_samples: int = 150,
@@ -152,33 +207,11 @@ def build_metrics_table(
     the benchmarks raise them.  ``build`` measures a non-paper family
     point (a :class:`repro.dsp.family.CoreBuild`).
     """
-    rows = list(variants) if variants is not None else default_variants()
-    components = COMPONENTS if build is None else build.components
-    if columns is not None:
-        cols = list(columns)
-    elif build is None:
-        cols = all_columns()
-    else:
-        cols = build.all_columns()
-    table = MetricsTable(
-        rows=rows,
-        columns=cols,
-        fault_counts={
-            spec.name: component_fault_count(spec) for spec in components
-        },
-    )
-    c_engine = ControllabilityEngine(
-        n_samples=n_controllability_samples, seed=seed, build=build
-    )
-    o_engine = ObservabilityEngine(n_good=n_observability_good, seed=seed + 1,
-                                   build=build)
-    for row in rows:
-        c_values = c_engine.measure(row)
-        o_values = o_engine.measure(row)
-        for column in cols:
-            if column in c_values or column in o_values:
-                table.set_cell(row, column, MetricsCell(
-                    c=c_values.get(column, 0.0),
-                    o=o_values.get(column, 0.0),
-                ))
+    table = empty_metrics_table(variants, columns, build)
+    for row in table.rows:
+        for column, cell in measure_cells(
+            row, table.columns, n_controllability_samples,
+            n_observability_good, seed, build,
+        ).items():
+            table.set_cell(row, column, cell)
     return table

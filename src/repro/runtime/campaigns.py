@@ -7,13 +7,16 @@ domain result object from the (possibly checkpoint-resumed) unit
 records:
 
 * :class:`HierarchicalCampaign` — per-fault grading of the DSP core
-  (wraps :class:`repro.faults.hierarchical.HierarchicalFaultSimulator`);
-* :class:`CombSimCampaign` — per-fault pattern-parallel combinational
-  grading (wraps :class:`repro.faults.combsim.CombFaultSimulator`);
+  (units call :class:`repro.faults.hierarchical.HierarchicalFaultSimulator`);
 * :class:`MetricsCampaign` — per-instruction-variant C/O sampling
-  (wraps the :mod:`repro.metrics` engines);
+  (units call :func:`repro.metrics.table.measure_cells`);
 * :class:`AtpgBaselineCampaign` — per-fault time-frame PODEM attacks
-  (wraps :func:`repro.baselines.atpg_baseline.run_atpg_baseline`).
+  (units call :func:`repro.baselines.atpg_baseline.attack`).
+
+Adapters only schedule: each algorithm lives once, in its own module,
+and the direct entry points (``HierarchicalFaultSimulator.run``,
+``build_metrics_table``, ``run_atpg_baseline``) are built from the same
+functions the units call.
 
 Degradation policy: a hierarchical comb-fault unit that repeatedly
 times out retries without the tier-2 gate-level continuous injection
@@ -25,9 +28,8 @@ benchmark harness.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.runtime.runner import CampaignReport, CampaignRunner, WorkUnit
 
@@ -177,101 +179,14 @@ class HierarchicalCampaign:
 
 
 # ----------------------------------------------------------------------
-# Combinational pattern-parallel fault simulation
-# ----------------------------------------------------------------------
-class CombSimCampaign:
-    """Per-fault resumable version of ``CombFaultSimulator.run_with_dropping``."""
-
-    def __init__(
-        self,
-        sim,
-        blocks: Sequence[Dict[str, List[int]]],
-        faults: Optional[Sequence] = None,
-        checkpoint: Optional[str] = None,
-        unit_timeout: Optional[float] = None,
-        runner: Optional[CampaignRunner] = None,
-        jobs: Optional[int] = None,
-    ):
-        self.sim = sim
-        self.blocks = list(blocks)
-        self.faults = list(faults if faults is not None
-                           else sim.fault_list.faults)
-        self.runner = _default_runner(checkpoint, unit_timeout, runner, jobs)
-        self._good: Dict[int, Tuple[List[int], int]] = {}
-        from repro.lint.netlist_rules import warn_on_netlist
-        warn_on_netlist(sim.netlist, context="combsim campaign")
-
-    def fingerprint(self) -> Dict[str, Any]:
-        from repro.runtime.integrity import fingerprint_for_netlist
-        return {
-            "kind": "combsim",
-            "netlist": self.sim.netlist.name,
-            # The structural hash, not just the name: resuming against a
-            # *modified* netlist of the same name must be rejected (the
-            # checkpointed grades belong to different hardware).
-            "netlist_hash": fingerprint_for_netlist(self.sim.netlist),
-            "n_blocks": len(self.blocks),
-            "n_faults": len(self.faults),
-        }
-
-    def _block_good(self, i: int) -> Tuple[List[int], int]:
-        if i not in self._good:
-            block = self.blocks[i]
-            n_patterns = len(next(iter(block.values())))
-            self._good[i] = (self.sim.good_values(block, n_patterns),
-                             n_patterns)
-        return self._good[i]
-
-    def _grade(self, fault) -> Optional[int]:
-        offset = 0
-        for i in range(len(self.blocks)):
-            good, n_patterns = self._block_good(i)
-            mask, _ = self.sim.simulate_fault(fault, good, n_patterns)
-            if mask:
-                return offset + (mask & -mask).bit_length() - 1
-            offset += n_patterns
-        return None
-
-    def _warmup(self) -> None:
-        """Evaluate every block's good machine in the parent so forked
-        workers inherit the results instead of each re-deriving them."""
-        for i in range(len(self.blocks)):
-            self._block_good(i)
-
-    def units(self) -> List[WorkUnit]:
-        return [
-            WorkUnit(
-                unit_id=f"comb:{fault.net}:sa{fault.stuck_at}",
-                run=lambda fault=fault: self._grade(fault),
-                reset=self._good.clear,
-            )
-            for fault in self.faults
-        ]
-
-    def run(self, resume: bool = False, repair: bool = False,
-            max_units: Optional[int] = None,
-            force: bool = False) -> CampaignOutcome:
-        report = self.runner.run(
-            self.units(), fingerprint=self.fingerprint(), resume=resume,
-            repair=repair, max_units=max_units, warmup=self._warmup,
-            force=force,
-        )
-        by_id = {f"comb:{f.net}:sa{f.stuck_at}": f for f in self.faults}
-        first_detect = {
-            by_id[unit_id]: result.value
-            for unit_id, result in report.results.items()
-        }
-        return CampaignOutcome(result=first_detect, report=report)
-
-
-# ----------------------------------------------------------------------
 # Metrics-table sampling
 # ----------------------------------------------------------------------
 class MetricsCampaign:
     """Per-instruction-variant resumable metrics-table measurement.
 
-    Each unit samples one variant's C and O columns; the assembled
-    result is the same :class:`~repro.metrics.table.MetricsTable` that
+    Each unit measures one variant's row with
+    :func:`~repro.metrics.table.measure_cells`; the assembled result is
+    the same :class:`~repro.metrics.table.MetricsTable` that
     :func:`~repro.metrics.table.build_metrics_table` produces, because
     every variant draws from its own label-derived RNG stream.
     """
@@ -289,17 +204,11 @@ class MetricsCampaign:
         jobs: Optional[int] = None,
         build=None,
     ):
-        from repro.metrics.controllability import default_variants
-        from repro.dsp.components import all_columns
+        from repro.metrics.table import empty_metrics_table
         self.build = build
-        self.variants = list(variants) if variants is not None \
-            else default_variants()
-        if columns is not None:
-            self.columns = list(columns)
-        elif build is None:
-            self.columns = all_columns()
-        else:
-            self.columns = build.all_columns()
+        self._empty = empty_metrics_table(variants, columns, build)
+        self.variants = self._empty.rows
+        self.columns = self._empty.columns
         self.n_controllability_samples = n_controllability_samples
         self.n_observability_good = n_observability_good
         self.seed = seed
@@ -320,29 +229,11 @@ class MetricsCampaign:
         return fp
 
     def _measure(self, variant, n_samples: int, n_good: int) -> Dict:
-        from repro.metrics.controllability import ControllabilityEngine
-        from repro.metrics.observability import ObservabilityEngine
-        from repro.runtime.rng import rng_factory
-        # Streams are derived from (seed, variant label), never from
-        # process-global RNG state, so a pool worker measuring any
-        # subset of variants replays the serial numbers exactly.
-        c_values = ControllabilityEngine(
-            n_samples=n_samples, seed=self.seed,
-            rng_factory=rng_factory(self.seed),
-            build=self.build,
-        ).measure(variant)
-        o_values = ObservabilityEngine(
-            n_good=n_good, seed=self.seed + 1,
-            rng_factory=rng_factory(self.seed + 1),
-            build=self.build,
-        ).measure(variant)
-        cells = {}
-        for column in self.columns:
-            if column in c_values or column in o_values:
-                key = f"{column[0]}|{column[1]}"
-                cells[key] = [c_values.get(column, 0.0),
-                              o_values.get(column, 0.0)]
-        return {"cells": cells}
+        from repro.metrics.table import measure_cells
+        cells = measure_cells(variant, self.columns, n_samples, n_good,
+                              self.seed, self.build)
+        return {"cells": {f"{name}|{mode}": [cell.c, cell.o]
+                          for (name, mode), cell in cells.items()}}
 
     def units(self) -> List[WorkUnit]:
         units = []
@@ -367,26 +258,12 @@ class MetricsCampaign:
     def run(self, resume: bool = False, repair: bool = False,
             max_units: Optional[int] = None,
             force: bool = False) -> CampaignOutcome:
-        from repro.dsp.components import COMPONENTS
-        from repro.metrics.table import (
-            MetricsCell,
-            MetricsTable,
-            component_fault_count,
-        )
+        from repro.metrics.table import MetricsCell
         report = self.runner.run(
             self.units(), fingerprint=self.fingerprint(), resume=resume,
             repair=repair, max_units=max_units, force=force,
         )
-        components = COMPONENTS if self.build is None \
-            else self.build.components
-        table = MetricsTable(
-            rows=self.variants,
-            columns=self.columns,
-            fault_counts={
-                spec.name: component_fault_count(spec)
-                for spec in components
-            },
-        )
+        table = replace(self._empty, cells={})
         for variant in self.variants:
             result = report.results.get(f"variant:{variant.label}")
             if result is None or not result.value:
@@ -405,11 +282,13 @@ class AtpgBaselineCampaign:
     """Per-fault resumable version of the sequential-ATPG baseline.
 
     The cheap fault-parallel random phase runs as deterministic setup
-    (same seed, same survivors on every invocation); each surviving
-    fault's time-frame PODEM attack — the part that can run for minutes
-    and abort — is one unit.  A unit that times out degrades to a
-    slashed backtrack budget, mirroring how commercial flows cap effort
-    per fault.
+    (:func:`~repro.baselines.atpg_baseline.setup_atpg_baseline`: same
+    seed, same survivors on every invocation); each surviving fault's
+    time-frame PODEM attack
+    (:func:`~repro.baselines.atpg_baseline.attack`) — the part that can
+    run for minutes and abort — is one unit.  A unit that times out
+    degrades to a slashed backtrack budget, mirroring how commercial
+    flows cap effort per fault.
     """
 
     def __init__(
@@ -427,6 +306,7 @@ class AtpgBaselineCampaign:
         jobs: Optional[int] = None,
         guided: bool = False,
     ):
+        from repro.baselines.atpg_baseline import setup_atpg_baseline
         self.netlist = netlist
         self.n_frames = n_frames
         self.backtrack_limit = backtrack_limit
@@ -436,7 +316,12 @@ class AtpgBaselineCampaign:
         self.random_phase_length = random_phase_length
         self.guided = guided
         self.runner = _default_runner(checkpoint, unit_timeout, runner, jobs)
-        self._setup = _Lazy(self._build_setup)
+        self._setup = _Lazy(lambda: setup_atpg_baseline(
+            netlist, n_frames=n_frames, backtrack_limit=backtrack_limit,
+            fault_sample=fault_sample, seed=seed,
+            random_phase_sequences=random_phase_sequences,
+            random_phase_length=random_phase_length, guided=guided,
+        ))
 
     def fingerprint(self) -> Dict[str, Any]:
         return {
@@ -450,130 +335,27 @@ class AtpgBaselineCampaign:
             "guided": self.guided,
         }
 
-    def _build_setup(self) -> Dict[str, Any]:
-        from repro.atpg.podem import Podem
-        from repro.atpg.unroll import unroll
-        from repro.dsp.gatelevel import make_gatelevel_core
-        from repro.faults.model import FaultList, collapse_faults
-
-        core = self.netlist if self.netlist is not None \
-            else make_gatelevel_core()
-        from repro.lint.netlist_rules import warn_on_netlist
-        warn_on_netlist(core, context="atpg baseline fault universe")
-        unrolled = unroll(core, self.n_frames)
-        faults = list(collapse_faults(core).faults)
-        if self.fault_sample is not None and \
-                self.fault_sample < len(faults):
-            rng = random.Random(self.seed)
-            faults = rng.sample(faults, self.fault_sample)
-
-        random_detected = 0
-        survivors = list(faults)
-        if self.random_phase_sequences > 0:
-            from repro.faults.seqsim import SeqFaultSimulator
-            rng = random.Random(self.seed + 1)
-            sim = SeqFaultSimulator(
-                core, fault_list=FaultList(netlist=core,
-                                           faults=list(faults)),
-            )
-            for _ in range(self.random_phase_sequences):
-                if not survivors:
-                    break
-                stimulus = {"instr": [
-                    rng.randrange(1 << 17)
-                    for _ in range(self.random_phase_length)
-                ]}
-                outcome = sim.run_sequence(stimulus, faults=survivors)
-                survivors = outcome.undetected
-            random_detected = len(faults) - len(survivors)
-        return {
-            "core": core,
-            "unrolled": unrolled,
-            "engine": Podem(unrolled.netlist,
-                            backtrack_limit=self.backtrack_limit,
-                            guided=self.guided),
-            "survivors": survivors,
-            "random_detected": random_detected,
-            "instr_nets": [unrolled.frame_bus(frame, "instr")
-                           for frame in range(self.n_frames)],
-        }
-
-    def _attack(self, fault, backtrack_limit: Optional[int] = None) -> Dict:
-        from repro.atpg.podem import Podem
-        setup = self._setup()
-        engine = setup["engine"]
-        if backtrack_limit is not None:
-            engine = Podem(setup["unrolled"].netlist,
-                           backtrack_limit=backtrack_limit,
-                           guided=self.guided)
-        result = engine.generate_multi(
-            setup["unrolled"].fault_sites(fault)
-        )
-        record: Dict[str, Any] = {"status": result.status,
-                                  "backtracks": result.backtracks,
-                                  "decisions": result.decisions}
-        if result.detected:
-            frames = []
-            for nets in setup["instr_nets"]:
-                word = 0
-                for i, net in enumerate(nets):
-                    if result.pattern.get(net):
-                        word |= 1 << i
-                frames.append(word)
-            record["status"] = "detected"
-            record["frames"] = frames
-        return record
-
     def units(self) -> List[WorkUnit]:
-        units = []
-        for fault in self._setup()["survivors"]:
-            unit_id = f"podem:{fault.net}:sa{fault.stuck_at}"
-
-            def attack(fault=fault):
-                return self._attack(fault)
-
-            def attack_degraded(fault=fault):
-                return self._attack(
-                    fault, backtrack_limit=max(10, self.backtrack_limit // 8)
-                )
-
-            units.append(WorkUnit(unit_id=unit_id, run=attack,
-                                  fallback=attack_degraded))
-        return units
+        from repro.baselines.atpg_baseline import attack
+        setup = self._setup
+        degraded_limit = max(10, self.backtrack_limit // 8)
+        return [
+            WorkUnit(
+                unit_id=f"podem:{fault.net}:sa{fault.stuck_at}",
+                run=lambda fault=fault: attack(setup(), fault),
+                fallback=lambda fault=fault: attack(
+                    setup(), fault, backtrack_limit=degraded_limit),
+            )
+            for fault in setup().survivors
+        ]
 
     def run(self, resume: bool = False, repair: bool = False,
             max_units: Optional[int] = None) -> CampaignOutcome:
-        from repro.baselines.atpg_baseline import AtpgBaselineResult
+        from repro.baselines.atpg_baseline import tally
         report = self.runner.run(
             self.units(), fingerprint=self.fingerprint(), resume=resume,
             repair=repair, max_units=max_units, warmup=self._setup,
         )
-        setup = self._setup()
-        detected = untestable = aborted = 0
-        total_backtracks = total_decisions = 0
-        patterns: List[List[int]] = []
-        for result in report.results.values():
-            record = result.value or {}
-            status = record.get("status")
-            total_backtracks += record.get("backtracks", 0)
-            total_decisions += record.get("decisions", 0)
-            if status == "detected":
-                detected += 1
-                patterns.append(record.get("frames", []))
-            elif status == "untestable":
-                untestable += 1
-            else:
-                aborted += 1
-        result = AtpgBaselineResult(
-            n_faults=len(setup["survivors"]) + setup["random_detected"],
-            n_detected=detected + setup["random_detected"],
-            n_untestable_within_frames=untestable,
-            n_aborted=aborted,
-            n_frames=self.n_frames,
-            n_detected_random_phase=setup["random_detected"],
-            patterns=patterns,
-            total_backtracks=total_backtracks,
-            total_decisions=total_decisions,
-            guided=self.guided,
-        )
+        result = tally(self._setup(),
+                       [r.value for r in report.results.values()])
         return CampaignOutcome(result=result, report=report)

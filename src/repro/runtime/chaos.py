@@ -103,20 +103,17 @@ def parse_classes(spec: str) -> Tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """One soak's injection policy (what the lint rule CMP004 audits)."""
+    """One soak's injection policy; :meth:`validate` rejects unusable ones."""
 
     seed: Optional[int]
     classes: Tuple[str, ...] = DEFAULT_SOAK_CLASSES
     #: Chance that a class fires *again* at an eligible occurrence after
-    #: its guaranteed first firing.  ≥ 1.0 is flagged by lint: every
-    #: occurrence failing until the budget is gone is a misconfiguration
-    #: (usually a percentage pasted where a fraction belongs).
+    #: its guaranteed first firing.  ≥ 1.0 is rejected: every occurrence
+    #: failing until the budget is gone is a misconfiguration (usually a
+    #: percentage pasted where a fraction belongs).
     probability: float = 0.25
     #: Hard per-class injection budget per campaign (termination bound).
     max_per_class: int = 2
-    #: Scratch directory the soak creates and deletes; checkpoints must
-    #: not live inside it (lint CMP004).
-    scratch: Optional[str] = None
 
     def validate(self) -> None:
         if self.seed is None:
@@ -133,16 +130,6 @@ class ChaosConfig:
         if self.max_per_class < 1:
             raise ConfigError("chaos max_per_class must be >= 1")
         parse_classes(",".join(self.classes))
-
-    def lint_doc(self) -> Dict[str, Any]:
-        """This config as the ``"chaos"`` block of a campaigns artifact."""
-        return {
-            "seed": self.seed,
-            "classes": list(self.classes),
-            "probability": self.probability,
-            "max_per_class": self.max_per_class,
-            "scratch": self.scratch,
-        }
 
 
 class ChaosMonkey:
@@ -587,7 +574,6 @@ def run_soak(
             config = ChaosConfig(
                 seed=campaign_seed, classes=classes,
                 probability=probability, max_per_class=max_per_class,
-                scratch=scratch,
             )
             checkpoint = os.path.join(scratch, f"campaign{index:04d}.jsonl")
             outcome = run_one_chaos_campaign(

@@ -32,6 +32,7 @@ the checkpoint file on resume.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -42,6 +43,7 @@ from repro.runtime import chaos
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.errors import (
     CampaignError,
+    ConfigError,
     FingerprintMismatchError,
     ReproError,
     UnitTimeout,
@@ -197,6 +199,19 @@ def call_with_timeout(fn: Callable[[], Any],
     return box["value"]
 
 
+def check_timeout(name: str, seconds: Optional[float]) -> None:
+    """Reject a per-unit budget no unit can finish within.
+
+    ``None`` (no timeout) and finite positive budgets pass.  Zero or a
+    negative budget times out every attempt, so every unit quarantines;
+    NaN or infinity makes every attempt raise.  Raises
+    :class:`ConfigError`.
+    """
+    if seconds is not None and not (seconds > 0 and math.isfinite(seconds)):
+        raise ConfigError(f"{name} must be a finite number of seconds > 0 "
+                          f"(or unset for no limit), got {seconds!r}")
+
+
 class CampaignRunner:
     """Executes campaigns of work units with checkpointing and recovery.
 
@@ -231,6 +246,8 @@ class CampaignRunner:
         from repro.runtime.pool import resolve_jobs
         if max_retries < 0:
             raise CampaignError("max_retries must be >= 0")
+        check_timeout("unit_timeout", unit_timeout)
+        check_timeout("fallback_timeout", fallback_timeout)
         self.store = CheckpointStore(checkpoint) if checkpoint else None
         self.unit_timeout = unit_timeout
         #: Give up on the process pool after this many seconds without a

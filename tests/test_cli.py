@@ -90,6 +90,15 @@ def test_grade_rejects_bad_jobs(capsys):
     assert "jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["grade", "--unit-timeout", "0"],
+    ["sweep", "--unit-timeout", "-1"],
+])
+def test_unusable_unit_timeout_is_config_error(argv, capsys):
+    assert main(argv) == 2
+    assert "--unit-timeout" in capsys.readouterr().err
+
+
 def test_grade_summary_surfaces_health_counts(tmp_path, capsys):
     """The one-line campaign summary exposes degradation, quarantine,
     retry and leaked-thread accounting at a glance."""

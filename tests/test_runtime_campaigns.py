@@ -1,7 +1,7 @@
 """Tests for the campaign adapters, including the kill-and-resume
 acceptance round trip on the hierarchical fault simulator."""
 
-import random
+import dataclasses
 
 import pytest
 
@@ -13,7 +13,7 @@ from repro.faults.hierarchical import (
 )
 from repro.runtime.errors import CampaignError
 from repro.runtime.campaigns import (
-    CombSimCampaign,
+    AtpgBaselineCampaign,
     HierarchicalCampaign,
     MetricsCampaign,
 )
@@ -138,43 +138,6 @@ def test_hierarchical_campaign_matches_direct_run():
 
 
 # ----------------------------------------------------------------------
-# Combinational campaign
-# ----------------------------------------------------------------------
-def comb_blocks(netlist, n_patterns=96, block=32, seed=9):
-    rng = random.Random(seed)
-    buses = [(name, nets) for name, nets in netlist.buses.items()
-             if all(n in netlist.inputs for n in nets)]
-    words = {name: [rng.randrange(1 << len(nets))
-                    for _ in range(n_patterns)]
-             for name, nets in buses}
-    return [
-        {name: values[i:i + block] for name, values in words.items()}
-        for i in range(0, n_patterns, block)
-    ]
-
-
-def test_combsim_campaign_matches_run_with_dropping(tmp_path):
-    from repro.dsp.components import component_by_name
-    from repro.faults.combsim import CombFaultSimulator
-    from repro.faults.model import collapse_faults
-
-    netlist = component_by_name("mux7").netlist()
-    sim = CombFaultSimulator(netlist, collapse_faults(netlist))
-    blocks = comb_blocks(netlist)
-    expected = sim.run_with_dropping(blocks)
-
-    path = str(tmp_path / "comb.jsonl")
-    campaign = CombSimCampaign(sim, blocks, checkpoint=path)
-    outcome = campaign.run()
-    assert outcome.result == expected
-
-    # Resume re-executes nothing and rebuilds the same mapping.
-    resumed = CombSimCampaign(sim, blocks, checkpoint=path).run(resume=True)
-    assert resumed.report.n_executed == 0
-    assert resumed.result == expected
-
-
-# ----------------------------------------------------------------------
 # Metrics campaign
 # ----------------------------------------------------------------------
 def test_metrics_campaign_matches_build_metrics_table(tmp_path):
@@ -221,3 +184,30 @@ def test_metrics_campaign_degraded_fallback_still_fills_cells():
     assert result.status == "degraded"
     assert outcome.report.counts()["degraded"] == 1
     assert any(key[0] == variants[0].label for key in outcome.result.cells)
+
+
+# ----------------------------------------------------------------------
+# Sequential-ATPG baseline campaign
+# ----------------------------------------------------------------------
+ATPG_PARAMS = dict(n_frames=4, backtrack_limit=40, fault_sample=6)
+
+
+@pytest.mark.parametrize("guided", [False, True])
+def test_atpg_campaign_matches_run_atpg_baseline(tmp_path, guided):
+    """The campaign and the direct function run one recipe: identical
+    results field by field, and a resumed rerun executes nothing."""
+    from repro.baselines.atpg_baseline import run_atpg_baseline
+
+    expected = dataclasses.asdict(
+        run_atpg_baseline(guided=guided, **ATPG_PARAMS))
+    path = str(tmp_path / "atpg.jsonl")
+    outcome = AtpgBaselineCampaign(guided=guided, checkpoint=path,
+                                   **ATPG_PARAMS).run()
+    assert dataclasses.asdict(outcome.result) == expected
+    assert outcome.report.n_executed == len(outcome.report.results)
+
+    resumed = AtpgBaselineCampaign(guided=guided, checkpoint=path,
+                                   **ATPG_PARAMS).run(resume=True)
+    assert resumed.report.n_executed == 0
+    assert resumed.report.n_resumed == len(outcome.report.results)
+    assert dataclasses.asdict(resumed.result) == expected

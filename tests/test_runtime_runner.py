@@ -5,7 +5,12 @@ import time
 
 import pytest
 
-from repro.runtime.errors import CampaignError, SimulationError, UnitTimeout
+from repro.runtime.errors import (
+    CampaignError,
+    ConfigError,
+    SimulationError,
+    UnitTimeout,
+)
 from repro.runtime.runner import (
     CampaignRunner,
     UnitResult,
@@ -74,6 +79,15 @@ def test_duplicate_unit_ids_rejected():
              WorkUnit(unit_id="same", run=lambda: 2)]
     with pytest.raises(CampaignError):
         runner.run(units)
+
+
+@pytest.mark.parametrize("field", ["unit_timeout", "fallback_timeout"])
+@pytest.mark.parametrize("bad", [0, 0.0, -1, float("nan"), float("inf")])
+def test_unusable_timeouts_rejected(field, bad):
+    """A budget no unit can finish within would quarantine every unit
+    (0, negative) or fail every attempt (NaN, inf): rejected up front."""
+    with pytest.raises(ConfigError, match=field):
+        CampaignRunner(**{field: bad})
 
 
 def test_max_units_cutoff_marks_interrupted():
