@@ -11,8 +11,8 @@ Commands cover the everyday flows:
   and write the coverage/test-length/area landscape artifact
   (see :mod:`repro.harness.sweeps`);
 * ``constraints`` — the Phase 3 control-bit constraint study (§3.4);
-* ``lint`` — static analysis of netlists, self-test programs and
-  campaign configurations (see :mod:`repro.lint`);
+* ``lint`` — static analysis of netlists and self-test programs (see
+  :mod:`repro.lint`);
 * ``testability`` — SCOAP/COP static testability report over the core
   and component netlists (see :mod:`repro.analysis.testability`);
 * ``chaos`` — seeded fault-injection soak of the campaign runtime
@@ -638,8 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_core_report)
 
     p = sub.add_parser("lint",
-                       help="static analysis of netlists, self-test "
-                            "programs and campaign configs")
+                       help="static analysis of netlists and self-test "
+                            "programs")
     from repro.lint.cli import add_lint_arguments
     add_lint_arguments(p)
     p.set_defaults(func=_cmd_lint)

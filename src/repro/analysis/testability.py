@@ -109,7 +109,7 @@ class TestabilityAnalysis:
     """Per-net SCOAP and COP numbers for one netlist.
 
     Index every array with a net id.  Instances are produced by
-    :func:`analyze_testability`; consumers (guided PODEM, lint, CLI)
+    :func:`analyze_testability`; consumers (lint, CLI)
     read the arrays directly.
     """
 

@@ -18,14 +18,11 @@ Multiple fault sites with individual polarities are supported so one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.faults.model import Fault
 from repro.logic.gates import GateType
 from repro.logic.netlist import Gate, Netlist
-
-if TYPE_CHECKING:
-    from repro.analysis.testability import TestabilityAnalysis
 
 X = None  # unknown
 
@@ -81,8 +78,8 @@ class PodemResult:
     """Outcome of one PODEM run.
 
     ``backtracks`` counts decision reversals and ``decisions`` counts PI
-    assignments tried; together they make guided-vs-unguided search
-    effort measurable (E5 benchmark registry) instead of anecdotal.
+    assignments tried; together they measure search effort (E5 reports
+    the backtrack total).
     """
 
     fault_sites: Tuple[Fault, ...]
@@ -139,20 +136,12 @@ class _Machines:
 class Podem:
     """PODEM test generation for stuck-at faults on a combinational netlist.
 
-    With ``guided=True`` the objective and backtrace choices are steered
-    by a static SCOAP cost model (:mod:`repro.analysis.testability`):
-    excitation targets the cheapest-to-justify site, propagation picks
-    the D-frontier gate closest to an output (min CO) and justification
-    walks through the easiest input when one controlling value suffices
-    — or the *hardest* input first when every input is needed, so doomed
-    branches fail fast.  ``analysis`` supplies a precomputed model
-    (otherwise one is derived from the netlist); unguided behaviour is
-    bit-identical to the classic first-X heuristics.
+    Objective and backtrace use the classic first-X heuristics: excite
+    the first unassigned site, propagate through the first X side input
+    of a D-frontier gate and justify through the first X gate input.
     """
 
-    def __init__(self, netlist: Netlist, backtrack_limit: int = 2000,
-                 guided: bool = False,
-                 analysis: Optional["TestabilityAnalysis"] = None):
+    def __init__(self, netlist: Netlist, backtrack_limit: int = 2000):
         if netlist.dffs:
             raise ValueError(
                 "PODEM needs a combinational netlist; unroll sequential "
@@ -168,11 +157,6 @@ class Podem:
         }
         self._pi_set = set(netlist.inputs)
         self._po_set = set(netlist.outputs)
-        self.guided = guided
-        if guided and analysis is None:
-            from repro.analysis.testability import analyze_testability
-            analysis = analyze_testability(netlist)
-        self.analysis = analysis if guided else None
 
     # ------------------------------------------------------------------
     def generate(self, fault: Fault) -> PodemResult:
@@ -289,27 +273,17 @@ class Podem:
     def _objective(self, machines: _Machines, sites: Dict[int, int],
                    cone: List[Gate]) -> Optional[Tuple[int, int]]:
         """Next (net, value) goal, or ``None`` on conflict."""
-        analysis = self.analysis
         # 1. Excitation: at least one site must carry the opposite of its
         # stuck value in the good machine.
         excited = any(machines.good(n) == (s ^ 1)
                       for n, s in sites.items())
         if not excited:
-            best: Optional[Tuple[int, int]] = None
-            best_cost = 0.0
             for net, stuck in sites.items():
-                if machines.good(net) is not X:
-                    continue
-                if analysis is None:
+                if machines.good(net) is X:
                     return net, stuck ^ 1
-                cost = analysis.cc(net, stuck ^ 1)
-                if best is None or cost < best_cost:
-                    best, best_cost = (net, stuck ^ 1), cost
-            return best  # None when every site is pinned at its stuck value
+            return None  # every site is pinned at its stuck value
         # 2. Propagation: an X side-input of a D-frontier gate (all
         # D-frontier gates lie inside the cone by construction).
-        best_goal: Optional[Tuple[int, int]] = None
-        best_key: Tuple[float, float] = (0.0, 0.0)
         for gate in cone:
             out = gate.output
             g_out = machines.good(out)
@@ -331,28 +305,13 @@ class Podem:
             non_controlling = (control ^ 1) if control is not None else 0
             for i in gate.inputs:
                 if machines.good(i) is X and i not in machines.overlay:
-                    if analysis is None:
-                        return i, non_controlling
-                    # Guided: drive the D-frontier gate closest to an
-                    # output (min CO), and within it set the hardest
-                    # side input first so hopeless branches die early.
-                    key = (analysis.co[out],
-                           -analysis.cc(i, non_controlling))
-                    if best_goal is None or key < best_key:
-                        best_goal, best_key = (i, non_controlling), key
-        return best_goal
+                    return i, non_controlling
+        return None
 
     def _backtrace(self, net: int, value: int,
                    machines: _Machines) -> Optional[Tuple[int, int]]:
-        """Map an internal objective to a PI assignment.
-
-        Guided mode replaces the first-X input choice with SCOAP costs:
-        when one controlling input suffices, walk through the *easiest*
-        one; when every input must take the non-controlling value, walk
-        through the *hardest* one first.
-        """
+        """Map an internal objective to a PI assignment."""
         good = machines.good
-        analysis = self.analysis
         current, target = net, value
         for _ in range(self.netlist.n_nets + 1):
             if current in self._pi_set:
@@ -364,37 +323,16 @@ class Podem:
                 return None  # constant or undriven: cannot justify
             if gate.kind in _INVERTING:
                 target ^= 1
-            if gate.kind in (GateType.XOR, GateType.XNOR):
-                other = [i for i in gate.inputs if good(i) is not X]
-                known = good(other[0]) if other else 0
-                x_inputs = [i for i in gate.inputs if good(i) is X]
-                if not x_inputs:
-                    return None
-                want = target ^ known
-                if analysis is not None:
-                    current = min(x_inputs,
-                                  key=lambda n, w=want: analysis.cc(n, w))
-                else:
-                    current = x_inputs[0]
-                target = want
-                continue
-            control = _CONTROLLING.get(gate.kind)
             x_inputs = [i for i in gate.inputs if good(i) is X]
             if not x_inputs:
                 return None
-            if control is not None and target == control:
-                if analysis is not None:
-                    current = min(
-                        x_inputs, key=lambda n, c=control: analysis.cc(n, c))
-                else:
-                    current = x_inputs[0]
-                target = control
-            else:
-                want = target if control is None else control ^ 1
-                if analysis is not None:
-                    current = max(x_inputs,
-                                  key=lambda n, w=want: analysis.cc(n, w))
-                else:
-                    current = x_inputs[0]
-                target = want
+            if gate.kind in (GateType.XOR, GateType.XNOR):
+                # The known input flips the parity the X input must set.
+                other = [i for i in gate.inputs if good(i) is not X]
+                if other and good(other[0]) == 1:
+                    target ^= 1
+            # After inversion the input wants the output's value: one
+            # controlling input suffices, a non-controlling one is
+            # needed on every input, so the first X input is next.
+            current = x_inputs[0]
         return None

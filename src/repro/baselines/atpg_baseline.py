@@ -42,11 +42,9 @@ class AtpgBaselineResult:
     n_detected_random_phase: int = 0
     patterns: List[List[int]] = field(default_factory=list)
     #: each pattern is a per-frame list of 17-bit instruction words
-    #: total PODEM search effort over the deterministic phase, for
-    #: guided-vs-unguided comparisons in the benchmark registry
+    #: total PODEM search effort over the deterministic phase
     total_backtracks: int = 0
     total_decisions: int = 0
-    guided: bool = False
 
     @property
     def fault_coverage(self) -> float:
@@ -82,7 +80,6 @@ def setup_atpg_baseline(
     seed: int = 5,
     random_phase_sequences: int = 1,
     random_phase_length: int = 32,
-    guided: bool = False,
 ) -> AtpgSetup:
     """Unroll the core, sample its faults and run the random phase.
 
@@ -118,8 +115,7 @@ def setup_atpg_baseline(
                                          faults=survivors).undetected
     return AtpgSetup(
         unrolled=unrolled,
-        engine=Podem(unrolled.netlist, backtrack_limit=backtrack_limit,
-                     guided=guided),
+        engine=Podem(unrolled.netlist, backtrack_limit=backtrack_limit),
         survivors=survivors,
         random_detected=len(faults) - len(survivors),
         instr_nets=[unrolled.frame_bus(frame, "instr")
@@ -139,8 +135,7 @@ def attack(setup: AtpgSetup, fault: Fault,
     engine = setup.engine
     if backtrack_limit is not None:
         engine = Podem(setup.unrolled.netlist,
-                       backtrack_limit=backtrack_limit,
-                       guided=engine.guided, analysis=engine.analysis)
+                       backtrack_limit=backtrack_limit)
     result = engine.generate_multi(setup.unrolled.fault_sites(fault))
     record: Dict[str, Any] = {"status": result.status,
                               "backtracks": result.backtracks,
@@ -186,7 +181,6 @@ def tally(setup: AtpgSetup,
         patterns=patterns,
         total_backtracks=total_backtracks,
         total_decisions=total_decisions,
-        guided=setup.engine.guided,
     )
 
 
@@ -198,7 +192,6 @@ def run_atpg_baseline(
     seed: int = 5,
     random_phase_sequences: int = 1,
     random_phase_length: int = 32,
-    guided: bool = False,
 ) -> AtpgBaselineResult:
     """Run the commercial-tool recipe on the flat core.
 
@@ -211,6 +204,6 @@ def run_atpg_baseline(
         netlist, n_frames=n_frames, backtrack_limit=backtrack_limit,
         fault_sample=fault_sample, seed=seed,
         random_phase_sequences=random_phase_sequences,
-        random_phase_length=random_phase_length, guided=guided,
+        random_phase_length=random_phase_length,
     )
     return tally(setup, [attack(setup, fault) for fault in setup.survivors])

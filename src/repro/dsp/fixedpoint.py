@@ -17,8 +17,6 @@ from repro._util import to_signed, to_unsigned
 
 #: Fractional bits of the 8-bit 4.4 operand format.
 OPERAND_FRAC = 4
-#: Fractional bits of the 18-bit 10.8 accumulator format.
-ACC_FRAC = 8
 #: Operand width (register file word).
 OPERAND_WIDTH = 8
 #: Accumulator width.
@@ -38,16 +36,3 @@ def float_to_q44(value: float) -> int:
     scaled = max(lo, min(hi, scaled))
     return to_unsigned(scaled, OPERAND_WIDTH)
 
-
-def q108_to_float(word: int) -> float:
-    """Interpret an 18-bit word as 10.8 fixed point."""
-    return to_signed(word, ACC_WIDTH) / (1 << ACC_FRAC)
-
-
-def float_to_q108(value: float) -> int:
-    """Encode a float as 10.8 fixed point (saturating at the format limits)."""
-    scaled = round(value * (1 << ACC_FRAC))
-    hi = (1 << (ACC_WIDTH - 1)) - 1
-    lo = -(1 << (ACC_WIDTH - 1))
-    scaled = max(lo, min(hi, scaled))
-    return to_unsigned(scaled, ACC_WIDTH)

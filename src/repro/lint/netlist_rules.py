@@ -460,7 +460,7 @@ def check_random_resistant_sites(netlist: Netlist) -> Iterator[Finding]:
                 f"{DETECT_PROB_FLOOR:.0e} floor",
                 hint="random patterns are not expected to catch this "
                      "fault; schedule it for deterministic ATPG "
-                     "(repro.atpg, guided=True)",
+                     "(repro.atpg.Podem)",
             )
 
 

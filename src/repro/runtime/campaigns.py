@@ -304,7 +304,6 @@ class AtpgBaselineCampaign:
         unit_timeout: Optional[float] = None,
         runner: Optional[CampaignRunner] = None,
         jobs: Optional[int] = None,
-        guided: bool = False,
     ):
         from repro.baselines.atpg_baseline import setup_atpg_baseline
         self.netlist = netlist
@@ -314,13 +313,12 @@ class AtpgBaselineCampaign:
         self.seed = seed
         self.random_phase_sequences = random_phase_sequences
         self.random_phase_length = random_phase_length
-        self.guided = guided
         self.runner = _default_runner(checkpoint, unit_timeout, runner, jobs)
         self._setup = _Lazy(lambda: setup_atpg_baseline(
             netlist, n_frames=n_frames, backtrack_limit=backtrack_limit,
             fault_sample=fault_sample, seed=seed,
             random_phase_sequences=random_phase_sequences,
-            random_phase_length=random_phase_length, guided=guided,
+            random_phase_length=random_phase_length,
         ))
 
     def fingerprint(self) -> Dict[str, Any]:
@@ -332,7 +330,9 @@ class AtpgBaselineCampaign:
             "seed": self.seed,
             "random_phase_sequences": self.random_phase_sequences,
             "random_phase_length": self.random_phase_length,
-            "guided": self.guided,
+            # Constant since the search has one objective/backtrace
+            # heuristic; kept so earlier checkpoints still resume.
+            "guided": False,
         }
 
     def units(self) -> List[WorkUnit]:

@@ -50,13 +50,6 @@ class FingerprintMismatchError(ConfigError, CampaignError):
     """
 
 
-class IntegrityError(CampaignError):
-    """A campaign invariant was violated (see
-    :func:`repro.runtime.integrity.verify_campaign`): a unit graded
-    twice or not at all, an illegal status, a report diverging from its
-    golden twin, orphaned scratch files, or a broken checkpoint chain."""
-
-
 class UnitTimeout(ReproError):
     """A work unit exceeded its wall-clock budget (internal signal used
     by the campaign runner; quarantined/degraded units report it as a

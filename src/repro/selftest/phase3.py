@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro import obs
 from repro.dsp.components import ComponentSpec, component_by_name
 from repro.faults.combsim import CombFaultSimulator
 from repro.faults.model import Fault, collapse_faults
+from repro.metrics.controllability import CONTROL_PORTS
 from repro.selftest.program import ProgramLine, TestProgram
 from repro.runtime.errors import ConfigError
 
@@ -74,41 +75,50 @@ def _random_port_patterns(spec: ComponentSpec, allowed_modes: Sequence[int],
 
 def constraint_study(
     component: str = "shifter",
-    mode_port: str = "mode",
-    constraints: Optional[Sequence[Sequence[int]]] = None,
     n_patterns: int = 2048,
     seed: int = 31,
-    rng_factory=None,
 ) -> List[ConstraintResult]:
     """The paper's §3.4 study: component fault coverage per mode constraint.
 
-    ``constraints`` is a list of allowed-mode sets; the default reproduces
-    the paper's five shifter cases (each single mode excluded, plus
-    "only 00 and 01").  ``rng_factory(allowed_modes) -> Random``
-    overrides the default per-constraint seed-derived streams.
+    Rows: the unconstrained baseline, each single mode excluded and, when
+    the component has more than two modes, "only the first two" (the
+    paper's five shifter cases).  The constrained input is the
+    component's one control port (``mode``, ``sel``, ``sub`` or ``en``).
+    Raises :class:`ConfigError` for an unknown component, one without a
+    gate netlist, one with fewer than two modes, or ``n_patterns < 1``.
     """
     with obs.span("selftest.phase3", key=component), \
             obs.section("selftest.phase3"):
-        return _constraint_study(component, mode_port, constraints,
-                                 n_patterns, seed, rng_factory)
+        return _constraint_study(component, n_patterns, seed)
 
 
-def _constraint_study(component, mode_port, constraints, n_patterns,
-                      seed, rng_factory) -> List[ConstraintResult]:
-    spec = component_by_name(component)
-    if constraints is None:
-        all_modes = list(spec.modes)
-        constraints = [list(all_modes)]  # unconstrained baseline first
-        constraints += [
-            [m for m in all_modes if m != excluded] for excluded in all_modes
-        ]
-        constraints.append(list(all_modes[:2]))  # only the first two modes
+def _constraint_study(component: str, n_patterns: int,
+                      seed: int) -> List[ConstraintResult]:
+    try:
+        spec = component_by_name(component)
+    except KeyError:
+        raise ConfigError(f"unknown component {component!r}") from None
+    if spec.factory is None:
+        raise ConfigError(f"component {component!r} has no gate netlist")
+    if len(spec.modes) < 2:
+        raise ConfigError(f"component {component!r} has a single control "
+                          f"mode; there is nothing to constrain")
+    if n_patterns < 1:
+        raise ConfigError(f"need at least one pattern, got {n_patterns}")
+    (mode_port,) = [name for name, _ in spec.input_ports
+                    if name in CONTROL_PORTS]
+    all_modes = list(spec.modes)
+    constraints = [list(all_modes)]  # unconstrained baseline first
+    constraints += [
+        [m for m in all_modes if m != excluded] for excluded in all_modes
+    ]
+    if len(all_modes) > 2:
+        constraints.append(all_modes[:2])  # only the first two modes
     fault_list = collapse_faults(spec.netlist())
     sim = CombFaultSimulator(spec.netlist(), fault_list)
     results: List[ConstraintResult] = []
     for allowed in constraints:
-        rng = rng_factory(allowed) if rng_factory is not None \
-            else random.Random((seed, tuple(allowed)).__repr__())
+        rng = random.Random((seed, tuple(allowed)).__repr__())
         patterns = _random_port_patterns(spec, allowed, n_patterns, rng,
                                          mode_port)
         block = 256

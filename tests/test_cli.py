@@ -161,6 +161,19 @@ def test_constraints_command(capsys):
     assert "discardable modes" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--component", "bogus"],       # not a component
+    ["--component", "temp"],        # no gate netlist
+    ["--component", "limiter"],     # a single mode: nothing to constrain
+    ["--patterns", "0"],
+], ids=["unknown", "no-netlist", "one-mode", "no-patterns"])
+def test_constraints_rejects_unusable_study(argv, capsys):
+    assert main(["constraints", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_export_verilog_command(tmp_path, capsys):
     output = tmp_path / "core.v"
     assert main(["export-verilog", "--output", str(output)]) == 0

@@ -42,6 +42,15 @@ def test_discardable_modes(shifter_study):
     assert 1 not in modes
 
 
+def test_constraint_study_constrains_the_control_port():
+    """mux7's control port is ``sel``: restricting it to one leg leaves
+    the other leg's faults undetected, so neither mode is discardable."""
+    study = constraint_study("mux7", n_patterns=512)
+    assert [r.allowed_modes for r in study] == [(0, 1), (1,), (0,)]
+    assert [r.n_undetected for r in study] == [0, 17, 25]
+    assert discardable_modes(study) == []
+
+
 def test_constraint_result_describe():
     r = ConstraintResult("shifter", (0, 1), 100, 95, 5)
     assert "shifter" in r.describe()

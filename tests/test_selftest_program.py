@@ -5,10 +5,9 @@ import pytest
 from repro.bist.lfsr import Lfsr
 from repro.bist.template import RandomLoad
 from repro.dsp.isa import Instruction, Opcode, decode
-from repro.selftest.program import ProgramLine, TestProgram
+from repro.selftest.program import TestProgram
 from repro.selftest.vectors import (
     expand_program,
-    golden_signature,
     run_with_misr,
     vector_file_lines,
 )
@@ -84,12 +83,11 @@ def test_expand_program_rejects_random_one_shot():
 
 def test_run_with_misr_signature_deterministic():
     program = small_program()
-    sig1, n1 = golden_signature(program, 5, lfsr1=Lfsr(16, seed=3),
-                                lfsr2=Lfsr(8, seed=4))
-    sig2, n2 = golden_signature(program, 5, lfsr1=Lfsr(16, seed=3),
-                                lfsr2=Lfsr(8, seed=4))
-    assert (sig1, n1) == (sig2, n2)
-    assert n1 == 20
+    runs = [run_with_misr(expand_program(program, 5, lfsr1=Lfsr(16, seed=3),
+                                         lfsr2=Lfsr(8, seed=4)))
+            for _ in range(2)]
+    assert runs[0].signature == runs[1].signature
+    assert runs[0].n_vectors == runs[1].n_vectors == 20
 
 
 def test_misr_signature_detects_faulty_core():
