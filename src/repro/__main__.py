@@ -7,9 +7,6 @@ Commands cover the everyday flows:
 * ``generate`` — run Phases 1–2 and print the Fig. 7-style program,
   optionally writing the test-vector file and golden MISR signature;
 * ``grade`` — generate and fault-grade the self-test program;
-* ``sweep`` — run the whole pipeline across a core-family design space
-  and write the coverage/test-length/area landscape artifact
-  (see :mod:`repro.harness.sweeps`);
 * ``constraints`` — the Phase 3 control-bit constraint study (§3.4);
 * ``lint`` — static analysis of netlists and self-test programs (see
   :mod:`repro.lint`);
@@ -135,64 +132,6 @@ def _cmd_grade(args) -> int:
         print(f"campaign: {outcome.report.summary()}")
         print(f"test time at 500 MHz: "
               f"{report.test_time_seconds() * 1e3:.3f} ms")
-        return 0
-    finally:
-        if session is not None:
-            obs.disable()
-
-
-def _cmd_sweep(args) -> int:
-    import json
-
-    from repro import obs
-    from repro.harness.sweeps import (
-        SweepConfig,
-        quick_factorial,
-        record_sweep,
-        run_sweep,
-        sampled_specs,
-    )
-
-    session = None
-    if args.trace or args.chrome:
-        session = obs.configure(seed=args.seed)
-    try:
-        if args.sample:
-            specs = sampled_specs(args.sample, seed=args.seed)
-        else:
-            specs = quick_factorial()
-        config = SweepConfig(
-            specs=specs,
-            n_controllability_samples=args.samples,
-            n_observability_good=args.good,
-            seed=args.seed,
-            n_iterations=args.iterations,
-        )
-        print(f"sweeping {len(specs)} design points ...")
-
-        def progress(label, record):
-            if record.get("interrupted"):
-                print(f"  {label}: interrupted in {record['stage']} stage")
-            else:
-                print(f"  {label}: area={record['area']} "
-                      f"coverage={record['fault_coverage']:.2%} "
-                      f"vectors={record['n_vectors']}")
-
-        doc = run_sweep(
-            config, checkpoint_dir=args.checkpoint_dir, jobs=args.jobs,
-            unit_timeout=args.unit_timeout, resume=args.resume,
-            max_units=args.max_units, progress=progress,
-        )
-        if session is not None:
-            _export_trace(session, args)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"landscape artifact -> {args.out}")
-        if doc["interrupted"]:
-            print("sweep interrupted: re-run with --resume to finish")
-            return 3
-        record_sweep(doc)
         return 0
     finally:
         if session is not None:
@@ -379,10 +318,10 @@ def _cmd_testability(args) -> int:
     floor = args.floor if args.floor is not None else DEFAULT_DETECT_FLOOR
     seq_cost = args.seq_cost if args.seq_cost is not None \
         else DEFAULT_SEQ_COST
-    if floor <= 0.0:
-        raise ConfigError(f"--floor must be a positive probability, "
+    if not 0.0 < floor <= 1.0:
+        raise ConfigError(f"--floor must be a probability in (0, 1], "
                           f"got {floor}")
-    if seq_cost < 0.0:
+    if not seq_cost >= 0.0:
         raise ConfigError(f"--seq-cost must be non-negative, got {seq_cost}")
     session = obs.configure(trace=False, metrics=True, profile=True,
                             seed=2004) if args.profile else None
@@ -534,36 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_trace_options(p)
     p.set_defaults(func=_cmd_grade)
 
-    p = sub.add_parser("sweep",
-                       help="run the self-test pipeline across a core-"
-                            "family design space (landscape artifact)")
-    p.add_argument("--sample", type=int, metavar="N",
-                   help="sweep N randomly sampled design points "
-                        "(default: the 4-point shifter x adder factorial)")
-    p.add_argument("--samples", type=int, default=20,
-                   help="controllability samples per variant per point")
-    p.add_argument("--good", type=int, default=2,
-                   help="observability good-machine runs per point")
-    p.add_argument("--iterations", type=int, default=2,
-                   help="program-loop expansions per point")
-    p.add_argument("--seed", type=int, default=2004)
-    p.add_argument("--out", default="sweep.json", metavar="FILE",
-                   help="landscape artifact path (schema repro.sweep/1)")
-    p.add_argument("--checkpoint-dir", metavar="DIR",
-                   help="directory for per-point campaign checkpoints "
-                        "and finished-point results (enables --resume)")
-    p.add_argument("--resume", action="store_true",
-                   help="reload finished points and resume interrupted "
-                        "campaigns from --checkpoint-dir")
-    p.add_argument("--unit-timeout", type=float, metavar="SECONDS")
-    p.add_argument("--jobs", metavar="N",
-                   help="worker processes per campaign")
-    p.add_argument("--max-units", type=int, metavar="N",
-                   help="stop the current point's campaign after N "
-                        "units (checkpoint the rest)")
-    add_trace_options(p)
-    p.set_defaults(func=_cmd_sweep)
-
     p = sub.add_parser("trace",
                        help="trace a campaign (grade/metrics) or "
                             "validate an existing trace file (check)")
@@ -681,11 +590,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         current_scale()  # fail fast on an invalid REPRO_SCALE
         if getattr(args, "resume", False) \
-                and not getattr(args, "checkpoint", None) \
-                and not getattr(args, "checkpoint_dir", None):
-            raise ConfigError("--resume requires --checkpoint"
-                              if hasattr(args, "checkpoint")
-                              else "--resume requires --checkpoint-dir")
+                and not getattr(args, "checkpoint", None):
+            raise ConfigError("--resume requires --checkpoint")
         if getattr(args, "jobs", None) is not None:
             from repro.runtime.pool import resolve_jobs
             resolve_jobs(args.jobs)  # fail fast on a bad --jobs value
@@ -694,6 +600,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             # metrics table and the program are built.
             from repro.runtime.runner import check_timeout
             check_timeout("--unit-timeout", args.unit_timeout)
+        if getattr(args, "iterations", None) is not None:
+            # Fail fast, before the metrics table: the vector expansion
+            # rejects an empty loop only after it is built.
+            from repro.selftest.vectors import check_iterations
+            check_iterations(args.iterations)
         return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

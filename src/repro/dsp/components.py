@@ -72,12 +72,7 @@ class ComponentSpec:
         return sum(w for _, w in self.input_ports)
 
     def netlist(self) -> Netlist:
-        """The component's gate-level netlist (cached per spec).
-
-        Keyed on the spec itself, not its name: family registries reuse
-        component names at different widths, so a name-keyed cache would
-        hand one core's netlist to another.
-        """
+        """The component's gate-level netlist (cached per spec)."""
         if self.factory is None:
             raise ValueError(f"component {self.name!r} has no gate netlist")
         return _cached_netlist(self)

@@ -41,9 +41,7 @@ from repro.dsp.mac import (
     ComponentActivity,
     MacControls,
     MacDatapath,
-    MacParams,
     Overrides,
-    PAPER_MAC,
     Trace,
 )
 
@@ -92,8 +90,6 @@ class CoreState:
     if_id: Optional[int] = None
     id_ex: Optional[IdEx] = None
     ex_wb: Optional[ExWb] = None
-    #: Registered output port of 5-deep family cores: ``(valid, value)``.
-    out_latch: Tuple[int, int] = (0, 0)
 
     def copy(self) -> "CoreState":
         """An independent copy; the frozen pipeline latches are shared."""
@@ -108,7 +104,6 @@ class CoreState:
             if_id=self.if_id,
             id_ex=self.id_ex,
             ex_wb=self.ex_wb,
-            out_latch=self.out_latch,
         )
 
 
@@ -137,38 +132,11 @@ class DspCore:
     ``stuck_bits`` maps state-element keys to ``(and_mask, or_mask)`` pairs
     applied after every cycle (and at construction), modelling stuck-at
     faults in storage elements.
-
-    ``build`` selects a non-paper family point (a
-    :class:`repro.dsp.family.CoreBuild`); omitted, the core is the paper
-    configuration.
     """
 
     def __init__(self, state: Optional[CoreState] = None,
-                 stuck_bits: Optional[StuckBits] = None,
-                 build=None):
-        self.build = build
-        if build is None:
-            self._mac_params: MacParams = PAPER_MAC
-            self._reg_mask = _REG_MASK
-            self._acc_mask = _ACC_MASK
-            self._addr_mask = N_REGISTERS - 1
-            self._depth = 4
-            self._drain = 4
-            self._control_word = control_word
-            n_regs = N_REGISTERS
-        else:
-            self._mac_params = build.mac_params
-            self._reg_mask = build.operand_mask
-            self._acc_mask = build.acc_mask
-            self._addr_mask = build.spec.n_registers - 1
-            self._depth = build.spec.pipeline_depth
-            self._drain = build.drain_length
-            self._control_word = build.control_word
-            n_regs = build.spec.n_registers
-        if state is not None:
-            self.state = state
-        else:
-            self.state = CoreState(regs=[0] * n_regs)
+                 stuck_bits: Optional[StuckBits] = None):
+        self.state = state if state is not None else CoreState()
         self.stuck_bits = dict(stuck_bits) if stuck_bits else {}
         if self.stuck_bits:
             self._apply_stuck_bits()
@@ -225,7 +193,7 @@ class DspCore:
                 {"a": s.macreg, "b": s.buffer, "sel": wb.ctrl.mux7_buffer},
                 s.buffer if wb.ctrl.mux7_buffer else s.macreg,
                 mode=wb.ctrl.mux7_buffer,
-            ) & self._reg_mask
+            ) & _REG_MASK
             if wb.ctrl.out_en:
                 out_valid = True
                 out_value = wb_value
@@ -241,10 +209,9 @@ class DspCore:
                 MacControls.from_control_word(ctrl),
                 s.acc_a, s.acc_b,
                 trace=trace, overrides=overrides,
-                params=self._mac_params,
             )
-            s.acc_a = mac.acc_a & self._acc_mask
-            s.acc_b = mac.acc_b & self._acc_mask
+            s.acc_a = mac.acc_a & _ACC_MASK
+            s.acc_b = mac.acc_b & _ACC_MASK
 
             buffer_d = stage.instr.imm if ctrl.buf_imm else stage.opb
             macreg_value = emit(
@@ -253,53 +220,48 @@ class DspCore:
             buffer_value = emit(
                 "buffer", {"d": buffer_d, "q": s.buffer}, buffer_d
             )
-            s.macreg = macreg_value & self._reg_mask
-            s.buffer = buffer_value & self._reg_mask
+            s.macreg = macreg_value & _REG_MASK
+            s.buffer = buffer_value & _REG_MASK
             new_ex_wb = ExWb(instr=stage.instr, ctrl=ctrl)
             if ctrl.reg_we:
                 bypass_value = (buffer_value if ctrl.mux7_buffer
-                                else macreg_value) & self._reg_mask
-                ex_bypass = (stage.instr.dest & self._addr_mask, bypass_value)
+                                else macreg_value) & _REG_MASK
+                ex_bypass = (stage.instr.dest, bypass_value)
 
         # ---------------- ID stage (uses if_id latch) -----------------
-        # A 3-deep family core has no IF/ID latch: it decodes the incoming
-        # instruction word in the same cycle it is fetched.
         new_id_ex: Optional[IdEx] = None
-        fetched = instr_word & _WORD_MASK if self._depth == 3 else s.if_id
-        if fetched is not None:
-            instr = decode(fetched)
+        if s.if_id is not None:
+            instr = decode(s.if_id)
             ctrl_packed = emit(
                 "decoder", {"in": int(instr.opcode)},
-                self._control_word(instr.opcode).pack(),
+                control_word(instr.opcode).pack(),
             )
             ctrl = ControlWord.unpack(ctrl_packed)
 
             def read_reg(addr: int, port: str) -> int:
-                value = s.regs[addr & self._addr_mask]
-                if (ex_bypass is not None
-                        and ex_bypass[0] == addr & self._addr_mask):
+                value = s.regs[addr]
+                if ex_bypass is not None and ex_bypass[0] == addr:
                     value = ex_bypass[1]
                 elif (wb is not None and wb.ctrl.reg_we
-                        and wb.instr.dest & self._addr_mask
-                        == addr & self._addr_mask):
+                        and wb.instr.dest == addr):
                     # Distance-2 forward: the producer is in WB right now and
                     # its value sits in the temp register (latched when it
                     # left EX).
                     value = s.temp
                 return emit(f"regread_{port}", {"addr": addr}, value)
 
-            opa = read_reg(instr.rega, "a") & self._reg_mask
-            opb = read_reg(instr.regb, "b") & self._reg_mask
+            opa = read_reg(instr.rega, "a") & _REG_MASK
+            opb = read_reg(instr.regb, "b") & _REG_MASK
             new_id_ex = IdEx(instr=instr, ctrl=ctrl, opa=opa, opb=opb)
 
         # ---------------- register write & latch advance --------------
         if wb is not None and wb.ctrl.reg_we:
-            s.regs[wb.instr.dest & self._addr_mask] = wb_value
+            s.regs[wb.instr.dest] = wb_value
 
         if ex_bypass is not None:
             s.temp = emit(
                 "temp", {"d": ex_bypass[1], "q": s.temp}, ex_bypass[1]
-            ) & self._reg_mask
+            ) & _REG_MASK
             s.temp_dest = ex_bypass[0]
         # A producer's temp entry stays valid until the next producer; a
         # stale entry is harmless because the register file already holds
@@ -307,21 +269,9 @@ class DspCore:
 
         s.ex_wb = new_ex_wb
         s.id_ex = new_id_ex
-        s.if_id = None if self._depth == 3 else instr_word & _WORD_MASK
-        return self._end_cycle(out_valid, out_value)
-
-    def _end_cycle(self, out_valid: bool, out_value: int) -> StepResult:
-        """Apply the stuck bits and drive the output port."""
+        s.if_id = instr_word & _WORD_MASK
         if self.stuck_bits:
             self._apply_stuck_bits()
-        if self._depth >= 5:
-            # Registered output port: what the caller sees this cycle is
-            # the value latched at the end of the previous one.
-            s = self.state
-            prev_valid, prev_value = s.out_latch
-            s.out_latch = (1 if out_valid else 0, out_value)
-            return StepResult(out_valid=bool(prev_valid),
-                              out_value=prev_value)
         return StepResult(out_valid=out_valid, out_value=out_value)
 
     def _step_fast(self, instr_word: int) -> StepResult:
@@ -332,11 +282,9 @@ class DspCore:
         round trip (the cached control word *is* the decoded one), and
         the MAC reads the control word directly.  Keep it in lock-step
         with :meth:`step`; the core tests check the two agree cycle for
-        cycle on every pipeline depth.
+        cycle.
         """
         s = self.state
-        reg_mask = self._reg_mask
-        addr_mask = self._addr_mask
 
         # WB: MUX7 reads the stored MacReg/buffer values.  A register
         # index of -1 below means "no register".
@@ -348,12 +296,12 @@ class DspCore:
         if wb is not None:
             wb_ctrl = wb.ctrl
             wb_value = (s.buffer if wb_ctrl.mux7_buffer
-                        else s.macreg) & reg_mask
+                        else s.macreg) & _REG_MASK
             if wb_ctrl.out_en:
                 out_valid = True
                 out_value = wb_value
             if wb_ctrl.reg_we:
-                wb_dest = wb.instr.dest & addr_mask
+                wb_dest = wb.instr.dest
 
         # EX
         new_ex_wb: Optional[ExWb] = None
@@ -363,32 +311,29 @@ class DspCore:
         if stage is not None:
             ctrl = stage.ctrl
             mac = MacDatapath._evaluate_fast(stage.opa, stage.opb, ctrl,
-                                             s.acc_a, s.acc_b,
-                                             self._mac_params)
-            s.acc_a = mac.acc_a & self._acc_mask
-            s.acc_b = mac.acc_b & self._acc_mask
+                                             s.acc_a, s.acc_b)
+            s.acc_a = mac.acc_a & _ACC_MASK
+            s.acc_b = mac.acc_b & _ACC_MASK
             buffer_value = stage.instr.imm if ctrl.buf_imm else stage.opb
-            s.macreg = mac.limited & reg_mask
-            s.buffer = buffer_value & reg_mask
+            s.macreg = mac.limited & _REG_MASK
+            s.buffer = buffer_value & _REG_MASK
             new_ex_wb = ExWb(instr=stage.instr, ctrl=ctrl)
             if ctrl.reg_we:
                 bypass_value = (buffer_value if ctrl.mux7_buffer
-                                else mac.limited) & reg_mask
-                bypass_dest = stage.instr.dest & addr_mask
+                                else mac.limited) & _REG_MASK
+                bypass_dest = stage.instr.dest
 
         # ID, with distance-1 (EX) and distance-2 (temp) forwarding.
         new_id_ex: Optional[IdEx] = None
-        fetched = instr_word & _WORD_MASK if self._depth == 3 else s.if_id
-        if fetched is not None:
-            instr = decode(fetched)
-            a = instr.rega & addr_mask
-            b = instr.regb & addr_mask
+        if s.if_id is not None:
+            instr = decode(s.if_id)
+            a = instr.rega
+            b = instr.regb
             opa = (bypass_value if a == bypass_dest
-                   else s.temp if a == wb_dest else s.regs[a]) & reg_mask
+                   else s.temp if a == wb_dest else s.regs[a]) & _REG_MASK
             opb = (bypass_value if b == bypass_dest
-                   else s.temp if b == wb_dest else s.regs[b]) & reg_mask
-            new_id_ex = IdEx(instr=instr,
-                             ctrl=self._control_word(instr.opcode),
+                   else s.temp if b == wb_dest else s.regs[b]) & _REG_MASK
+            new_id_ex = IdEx(instr=instr, ctrl=control_word(instr.opcode),
                              opa=opa, opb=opb)
 
         # Register write and latch advance.
@@ -399,8 +344,10 @@ class DspCore:
             s.temp_dest = bypass_dest
         s.ex_wb = new_ex_wb
         s.id_ex = new_id_ex
-        s.if_id = None if self._depth == 3 else instr_word & _WORD_MASK
-        return self._end_cycle(out_valid, out_value)
+        s.if_id = instr_word & _WORD_MASK
+        if self.stuck_bits:
+            self._apply_stuck_bits()
+        return StepResult(out_valid=out_valid, out_value=out_value)
 
     # ------------------------------------------------------------------
     def run(self, words, overrides_by_cycle=None) -> List[StepResult]:
@@ -421,5 +368,5 @@ class DspCore:
         from repro.dsp.isa import encode
         words = [encode(i) for i in instructions]
         if drain:
-            words += [encode(Instruction(Opcode.NOP))] * self._drain
+            words += [encode(Instruction(Opcode.NOP))] * 4
         return [r.port for r in self.run(words)]

@@ -20,19 +20,19 @@ Interface buses:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.dsp.fixedpoint import ACC_WIDTH, OPERAND_WIDTH
 from repro.dsp.isa import CONTROL_WIDTH, N_REGISTERS, decoder_truth_table
 from repro.logic.builder import NetlistBuilder
 from repro.logic.gates import GateType
 from repro.logic.netlist import Netlist
-from repro.rtl.arith import adder_into
+from repro.rtl.arith import ripple_adder
 from repro.rtl.decoder import truth_table_logic
 from repro.rtl.multiplier import multiplier_into
 from repro.rtl.register import register_file_into
 from repro.rtl.saturate import limiter_into
-from repro.rtl.shifter import dedicated_shifter_into, shifter_into
+from repro.rtl.shifter import shifter_into
 from repro.rtl.truncate import truncater_into
 
 #: Bit positions inside the packed control word (see ControlWord.pack).
@@ -82,44 +82,15 @@ def _equal(b: NetlistBuilder, x: Sequence[int], y: Sequence[int]) -> int:
     return b.and_(*bits) if len(bits) > 1 else bits[0]
 
 
-def make_gatelevel_core(name: str = "dsp_core", spec=None) -> Netlist:
-    """The complete core as one flat netlist.
-
-    ``spec`` selects a non-paper family point (a
-    :class:`repro.dsp.family.CoreSpec`); omitted, the paper core is built
-    with exactly the historical gate sequence, so its structural hash is
-    stable across the family refactor.
-    """
-    if spec is None:
-        operand_width, acc_width = OPERAND_WIDTH, ACC_WIDTH
-        n_registers, depth = N_REGISTERS, 4
-        shifter_style, adder_style = "barrel", "ripple"
-        has_truncater = has_limiter = True
-    else:
-        operand_width, acc_width = spec.operand_width, spec.acc_width
-        n_registers, depth = spec.n_registers, spec.pipeline_depth
-        shifter_style, adder_style = spec.shifter, spec.adder
-        has_truncater, has_limiter = spec.has_truncater, spec.has_limiter
-    addr_bits = (n_registers - 1).bit_length()
-    frac = operand_width                      # acc fractional bits
-    frac_drop = operand_width - operand_width // 2
-    amt_width = 4
-    truth_table = decoder_truth_table()
-    if not has_truncater:
-        truth_table = {op: cw & ~(1 << _CTRL_BITS["trunc"])
-                       for op, cw in truth_table.items()}
-
+def make_gatelevel_core(name: str = "dsp_core") -> Netlist:
+    """The complete core as one flat netlist."""
     b = NetlistBuilder(name)
     instr_in = b.input_bus("instr", 17)
 
     # ------------------------------------------------------------------
-    # Pipeline latches (declared first so stages can read them).  3-deep
-    # cores have no IF/ID latch — decode runs off the instruction input.
+    # Pipeline latches (declared first so stages can read them).
     # ------------------------------------------------------------------
-    if depth >= 4:
-        if_id = _plain_register(b, instr_in, "if_id")
-    else:
-        if_id = list(instr_in)
+    if_id = _plain_register(b, instr_in, "if_id")
 
     # ID/EX latch fields are driven below; allocate D nets lazily via lists.
     def latch(name_: str, width: int) -> Tuple[List[int], List[int]]:
@@ -133,12 +104,12 @@ def make_gatelevel_core(name: str = "dsp_core", spec=None) -> Netlist:
         return q, d
 
     ex_ctrl, ex_ctrl_d = latch("ex_ctrl", CONTROL_WIDTH)
-    ex_opa, ex_opa_d = latch("ex_opa", operand_width)
-    ex_opb, ex_opb_d = latch("ex_opb", operand_width)
-    ex_imm, ex_imm_d = latch("ex_imm", operand_width)
-    ex_dest, ex_dest_d = latch("ex_dest", addr_bits)
+    ex_opa, ex_opa_d = latch("ex_opa", OPERAND_WIDTH)
+    ex_opb, ex_opb_d = latch("ex_opb", OPERAND_WIDTH)
+    ex_imm, ex_imm_d = latch("ex_imm", OPERAND_WIDTH)
+    ex_dest, ex_dest_d = latch("ex_dest", 4)
     wb_ctrl, wb_ctrl_d = latch("wb_ctrl", CONTROL_WIDTH)
-    wb_dest, wb_dest_d = latch("wb_dest", addr_bits)
+    wb_dest, wb_dest_d = latch("wb_dest", 4)
 
     def ctrl_bit(bus: Sequence[int], field: str) -> int:
         return bus[_CTRL_BITS[field]]
@@ -147,7 +118,7 @@ def make_gatelevel_core(name: str = "dsp_core", spec=None) -> Netlist:
     # EX stage: the MAC datapath, from the ID/EX latch.
     # ------------------------------------------------------------------
     with b.region("multiplier"):
-        product = multiplier_into(b, ex_opa, ex_opb, acc_width)
+        product = multiplier_into(b, ex_opa, ex_opb, ACC_WIDTH)
     b.netlist.add_bus("product", product)
 
     muxa_zero = ctrl_bit(ex_ctrl, "muxa_zero")
@@ -163,12 +134,12 @@ def make_gatelevel_core(name: str = "dsp_core", spec=None) -> Netlist:
     accb_en = b.and_(acc_we, accsel)
 
     # Forward-declare truncater output nets for the accumulator D logic.
-    trunc_out = [b.net(f"trunc_out[{i}]") for i in range(acc_width)]
+    trunc_out = [b.net(f"trunc_out[{i}]") for i in range(ACC_WIDTH)]
 
     def acc_register(name_: str, en: int) -> Tuple[List[int], List[int]]:
         qs, nexts = [], []
         nsel = b.not_(en)
-        for i in range(acc_width):
+        for i in range(ACC_WIDTH):
             q = b.net(f"{name_}[{i}]")
             hold = b.and_(q, nsel)
             load = b.and_(trunc_out[i], en)
@@ -187,10 +158,8 @@ def make_gatelevel_core(name: str = "dsp_core", spec=None) -> Netlist:
     with b.region("muxg_shifter"):
         muxg_shifter = b.mux2_bus(accsel, acc_a, acc_b)
     shmode = [ctrl_bit(ex_ctrl, "shmode0"), ctrl_bit(ex_ctrl, "shmode1")]
-    shift_fn = (shifter_into if shifter_style == "barrel"
-                else dedicated_shifter_into)
     with b.region("shifter"):
-        shifted = shift_fn(b, muxg_shifter, ex_opa[:amt_width], shmode)
+        shifted = shifter_into(b, muxg_shifter, ex_opa[:4], shmode)
 
     muxb_shift = ctrl_bit(ex_ctrl, "muxb_shift")
     with b.region("muxb"):
@@ -199,30 +168,20 @@ def make_gatelevel_core(name: str = "dsp_core", spec=None) -> Netlist:
     sub = ctrl_bit(ex_ctrl, "sub")
     with b.region("addsub"):
         b_inverted = [b.xor(bit, sub) for bit in x_operand]
-        adder_out, _ = adder_into(b, y_operand, b_inverted, sub,
-                                  adder_style, drop_final_carry=True)
+        adder_out, _ = ripple_adder(b, y_operand, b_inverted, sub,
+                                    drop_final_carry=True)
 
     trunc_en = ctrl_bit(ex_ctrl, "trunc")
-    if has_truncater:
-        with b.region("truncater"):
-            trunc_src = truncater_into(b, adder_out, trunc_en, frac)
-    else:
-        trunc_src = adder_out
-    for i in range(acc_width):
+    with b.region("truncater"):
+        trunc_src = truncater_into(b, adder_out, trunc_en)
+    for i in range(ACC_WIDTH):
         b.netlist.add_gate(GateType.BUF, trunc_out[i], (trunc_src[i],))
 
-    # Narrow limiter-side MUXg: the limiter never reads the dropped
-    # fractional bits (14 bits wide on the paper core).
+    # 14-bit limiter-side MUXg: the limiter never reads bits [3:0].
     with b.region("muxg_limiter"):
-        muxg_limiter = b.mux2_bus(accsel, acc_a_next[frac_drop:],
-                                  acc_b_next[frac_drop:])
-    if has_limiter:
-        with b.region("limiter"):
-            limited = limiter_into(b, acc_a_next[:frac_drop] + muxg_limiter,
-                                   operand_width, frac_drop)
-    else:
-        # No saturator: MacReg takes the raw accumulator window slice.
-        limited = [b.buf(bit) for bit in muxg_limiter[:operand_width]]
+        muxg_limiter = b.mux2_bus(accsel, acc_a_next[4:], acc_b_next[4:])
+    with b.region("limiter"):
+        limited = limiter_into(b, acc_a_next[:4] + muxg_limiter)
 
     with b.region("macreg"):
         macreg = _plain_register(b, limited, "macreg")
@@ -248,15 +207,9 @@ def make_gatelevel_core(name: str = "dsp_core", spec=None) -> Netlist:
         wb_value = b.mux2_bus(wb_mux7_buffer, macreg, buffer)
     out_en = ctrl_bit(wb_ctrl, "out_en")
     out_port = [b.and_(bit, out_en) for bit in wb_value]
-    out_valid = out_en
-    if depth >= 5:
-        # Registered output port: the 5-deep family point.
-        with b.region("outreg"):
-            out_port = _plain_register(b, out_port, "out_port_q")
-            out_valid = _plain_register(b, [out_en], "out_valid_q")[0]
     b.output_bus("out", out_port)
-    b.output(out_valid)
-    b.netlist.add_bus("out_valid", [out_valid])
+    b.output(out_en)
+    b.netlist.add_bus("out_valid", [out_en])
 
     # ------------------------------------------------------------------
     # ID stage: decode + register read + forwarding.
@@ -264,14 +217,14 @@ def make_gatelevel_core(name: str = "dsp_core", spec=None) -> Netlist:
     opcode = if_id[12:17]
     with b.region("decoder"):
         ctrl = truth_table_logic(b, list(opcode), CONTROL_WIDTH,
-                                 truth_table, prefix="dec")
-    raddr_a = if_id[8:8 + addr_bits]
-    raddr_b = if_id[4:4 + addr_bits]
+                                 decoder_truth_table(), prefix="dec")
+    raddr_a = if_id[8:12]
+    raddr_b = if_id[4:8]
 
     wb_reg_we = ctrl_bit(wb_ctrl, "reg_we")
     with b.region("regfile"):
         rdata_a, rdata_b = register_file_into(
-            b, wb_value, wb_dest, wb_reg_we, raddr_a, raddr_b, n_registers
+            b, wb_value, wb_dest, wb_reg_we, raddr_a, raddr_b, N_REGISTERS
         )
 
     def forwarded(raddr: Sequence[int], rdata: Sequence[int]) -> List[int]:
@@ -293,8 +246,8 @@ def make_gatelevel_core(name: str = "dsp_core", spec=None) -> Netlist:
     drive(ex_ctrl_d, ctrl)
     drive(ex_opa_d, opa)
     drive(ex_opb_d, opb)
-    drive(ex_imm_d, if_id[4:4 + operand_width])
-    drive(ex_dest_d, if_id[0:addr_bits])
+    drive(ex_imm_d, if_id[4:12])
+    drive(ex_dest_d, if_id[0:4])
     drive(wb_ctrl_d, ex_ctrl)
     drive(wb_dest_d, ex_dest)
 

@@ -21,10 +21,10 @@ simulator build on.  The unrolled MUXg instances of the paper
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Union
 
-from repro._util import bits, mask
+from repro._util import bits
 from repro.dsp.fixedpoint import ACC_WIDTH, OPERAND_WIDTH
 from repro.dsp.isa import ControlWord
 from repro.rtl.arith import addsub_reference
@@ -32,30 +32,6 @@ from repro.rtl.multiplier import multiplier_reference
 from repro.rtl.saturate import limiter_reference
 from repro.rtl.shifter import shifter_reference
 from repro.rtl.truncate import truncater_reference
-
-
-@dataclass(frozen=True)
-class MacParams:
-    """Width/feature parameters of one MAC datapath instance.
-
-    The defaults are the paper core (8-bit 4.4 operands, 18-bit 10.8
-    accumulators); :mod:`repro.dsp.family` derives other points.
-    """
-
-    operand_width: int = OPERAND_WIDTH
-    acc_width: int = ACC_WIDTH
-    #: Fractional accumulator bits zeroed by the truncater.
-    frac: int = 8
-    #: Low accumulator bits the limiter window discards.
-    frac_drop: int = 4
-    #: Shift-amount field width (low bits of operand A).
-    amt_width: int = 4
-    has_truncater: bool = True
-    has_limiter: bool = True
-
-
-#: The paper core's MAC parameters.
-PAPER_MAC = MacParams()
 
 
 @dataclass
@@ -125,13 +101,10 @@ class MacDatapath:
         acc_b: int,
         trace: Optional[Trace] = None,
         overrides: Optional[Overrides] = None,
-        params: MacParams = PAPER_MAC,
     ) -> MacResult:
         """Run one EX-stage evaluation of the MAC."""
         if trace is None and not overrides:
-            return MacDatapath._evaluate_fast(opa, opb, ctrl, acc_a, acc_b,
-                                              params)
-        p = params
+            return MacDatapath._evaluate_fast(opa, opb, ctrl, acc_a, acc_b)
 
         def emit(name: str, inputs: Dict[str, int], output: int,
                  mode: int = 0) -> int:
@@ -144,7 +117,7 @@ class MacDatapath:
 
         product = emit(
             "multiplier", {"a": opa, "b": opb},
-            multiplier_reference(opa, opb, p.operand_width, p.acc_width),
+            multiplier_reference(opa, opb, OPERAND_WIDTH, ACC_WIDTH),
         )
         x = emit(
             "muxa", {"data": product, "en": ctrl.muxa_zero},
@@ -156,11 +129,10 @@ class MacDatapath:
             acc_b if ctrl.accsel else acc_a,
             mode=ctrl.accsel,
         )
-        amt = bits(opa, p.amt_width - 1, 0)
+        amt = bits(opa, 3, 0)
         shifted = emit(
             "shifter", {"data": shift_in, "amt": amt, "mode": ctrl.shmode},
-            shifter_reference(shift_in, amt, ctrl.shmode, p.acc_width,
-                              p.amt_width),
+            shifter_reference(shift_in, amt, ctrl.shmode, ACC_WIDTH),
             mode=ctrl.shmode,
         )
         y = emit(
@@ -170,17 +142,14 @@ class MacDatapath:
         )
         result = emit(
             "addsub", {"a": y, "b": x, "sub": ctrl.sub},
-            addsub_reference(y, x, ctrl.sub, p.acc_width),
+            addsub_reference(y, x, ctrl.sub, ACC_WIDTH),
             mode=ctrl.sub,
         )
-        if p.has_truncater:
-            truncated = emit(
-                "truncater", {"data": result, "en": ctrl.trunc},
-                truncater_reference(result, ctrl.trunc, p.acc_width, p.frac),
-                mode=ctrl.trunc,
-            )
-        else:
-            truncated = result
+        truncated = emit(
+            "truncater", {"data": result, "en": ctrl.trunc},
+            truncater_reference(result, ctrl.trunc, ACC_WIDTH),
+            mode=ctrl.trunc,
+        )
         next_a = emit(
             "acca",
             {"d": truncated, "en": ctrl.acc_we & (1 - ctrl.accsel), "q": acc_a},
@@ -191,32 +160,25 @@ class MacDatapath:
             {"d": truncated, "en": ctrl.acc_we & ctrl.accsel, "q": acc_b},
             truncated if (ctrl.acc_we and ctrl.accsel) else acc_b,
         )
-        # The limiter never reads the lowest fractional bits, so the
-        # limiter-side MUXg instance is physically a narrower mux
-        # (synthesis trims the dead low lanes).
+        # The limiter never reads the 4 lowest fractional bits, so the
+        # limiter-side MUXg instance is physically a 14-bit mux (synthesis
+        # trims the dead low lanes).
         limit_in = emit(
             "muxg_limiter",
-            {"a": next_a >> p.frac_drop, "b": next_b >> p.frac_drop,
-             "sel": ctrl.accsel},
-            (next_b if ctrl.accsel else next_a) >> p.frac_drop,
+            {"a": next_a >> 4, "b": next_b >> 4, "sel": ctrl.accsel},
+            (next_b if ctrl.accsel else next_a) >> 4,
             mode=ctrl.accsel,
         )
-        if p.has_limiter:
-            limited = emit(
-                "limiter", {"data": limit_in << p.frac_drop},
-                limiter_reference(limit_in << p.frac_drop, p.acc_width,
-                                  p.operand_width, p.frac_drop),
-            )
-        else:
-            # No saturator: MacReg takes the raw window slice.
-            limited = limit_in & mask(p.operand_width)
+        limited = emit(
+            "limiter", {"data": limit_in << 4},
+            limiter_reference(limit_in << 4),
+        )
         return MacResult(acc_a=next_a, acc_b=next_b, limited=limited)
 
     @staticmethod
     def _evaluate_fast(opa: int, opb: int,
                        ctrl: Union[MacControls, ControlWord],
-                       acc_a: int, acc_b: int,
-                       params: MacParams = PAPER_MAC) -> MacResult:
+                       acc_a: int, acc_b: int) -> MacResult:
         """Allocation-light twin of :meth:`evaluate` for untraced,
         non-injected cycles (the fault simulators' hot path).  Keep the
         dataflow in lock-step with :meth:`evaluate`.
@@ -224,26 +186,21 @@ class MacDatapath:
         ``ctrl`` may be the full :class:`ControlWord`: only the MAC
         control attributes are read, so the core's fast path skips the
         :class:`MacControls` copy."""
-        p = params
-        product = multiplier_reference(opa, opb, p.operand_width, p.acc_width)
+        product = multiplier_reference(opa, opb, OPERAND_WIDTH, ACC_WIDTH)
         x = 0 if ctrl.muxa_zero else product
         shift_in = acc_b if ctrl.accsel else acc_a
-        shifted = shifter_reference(shift_in, opa & mask(p.amt_width),
-                                    ctrl.shmode, p.acc_width, p.amt_width)
+        shifted = shifter_reference(shift_in, opa & 0xF, ctrl.shmode,
+                                    ACC_WIDTH)
         y = shifted if ctrl.muxb_shift else 0
-        result = addsub_reference(y, x, ctrl.sub, p.acc_width)
-        truncated = (truncater_reference(result, ctrl.trunc, p.acc_width,
-                                         p.frac)
-                     if p.has_truncater else result)
+        result = addsub_reference(y, x, ctrl.sub, ACC_WIDTH)
+        truncated = truncater_reference(result, ctrl.trunc, ACC_WIDTH)
         if ctrl.acc_we:
             if ctrl.accsel:
                 acc_b = truncated
             else:
                 acc_a = truncated
         limit_in = acc_b if ctrl.accsel else acc_a
-        if p.has_limiter:
-            limited = limiter_reference(limit_in, p.acc_width,
-                                        p.operand_width, p.frac_drop)
-        else:
-            limited = (limit_in >> p.frac_drop) & mask(p.operand_width)
-        return MacResult(acc_a=acc_a, acc_b=acc_b, limited=limited)
+        return MacResult(
+            acc_a=acc_a, acc_b=acc_b,
+            limited=limiter_reference(limit_in),
+        )

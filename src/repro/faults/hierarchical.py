@@ -117,26 +117,18 @@ def _spec(name: str) -> ComponentSpec:
 # The fault universe
 # ----------------------------------------------------------------------
 class DspFaultUniverse:
-    """The complete stuck-at fault population of the DSP core.
-
-    ``build`` selects a non-paper family point: its component registry
-    (per-spec widths, optional truncater/limiter), register-file shape
-    and core factory replace the paper singletons.
-    """
+    """The complete stuck-at fault population of the DSP core."""
 
     def __init__(self, components: Optional[Iterable[str]] = None,
-                 include_regfile: bool = True,
-                 build=None):
-        self.build = build
-        registry = COMPONENTS if build is None else build.components
+                 include_regfile: bool = True):
         names = list(components) if components is not None else \
-            [spec.name for spec in registry]
+            [spec.name for spec in COMPONENTS]
         self.comb_faults: Dict[str, List[Fault]] = {}
         self.comb_simulators: Dict[str, CombFaultSimulator] = {}
         self.storage_faults: List[StorageFault] = []
         from repro.lint.netlist_rules import warn_on_netlist
         for name in names:
-            spec = self.spec(name)
+            spec = _spec(name)
             if spec.kind == "comb":
                 netlist = spec.netlist()
                 # Warn-only structural screening (lint NET* error rules):
@@ -156,20 +148,12 @@ class DspFaultUniverse:
             else:
                 self.storage_faults.extend(_register_faults(spec))
         if include_regfile:
-            n_regs = N_REGISTERS if build is None else build.spec.n_registers
-            reg_width = 8 if build is None else build.spec.operand_width
-            for reg in range(n_regs):
-                for bit in range(reg_width):
+            for reg in range(N_REGISTERS):
+                for bit in range(8):
                     for polarity in (0, 1):
                         self.storage_faults.append(
                             StorageFault(("reg", reg), "q", bit, polarity)
                         )
-
-    def spec(self, name: str) -> ComponentSpec:
-        """The component spec for ``name`` in this universe's registry."""
-        if self.build is None:
-            return _spec(name)
-        return self.build.component_by_name(name)
 
     def all_faults(self) -> List:
         faults: List = [
@@ -221,32 +205,20 @@ _STATE_KEY_BY_NAME = {
 
 
 def storage_fault_core(fault: StorageFault,
-                       state: Optional[CoreState] = None,
-                       build=None) -> DspCore:
+                       state: Optional[CoreState] = None) -> DspCore:
     """A core whose behaviour includes ``fault`` permanently."""
-
-    def make_core(**kwargs) -> DspCore:
-        if build is None:
-            return DspCore(**kwargs)
-        return build.make_core(**kwargs)
-
     if fault.kind == "q":
         if fault.target[0] == "reg":
             key: Tuple = fault.target
-            width = 8 if build is None else build.spec.operand_width
+            width = 8
         else:
             key = _STATE_KEY_BY_NAME[fault.target[0]]
-            if build is None:
-                width = 18 if fault.target[0] in ("acca", "accb") else 8
-            elif fault.target[0] in ("acca", "accb"):
-                width = build.spec.acc_width
-            else:
-                width = build.spec.operand_width
+            width = 18 if fault.target[0] in ("acca", "accb") else 8
         if fault.stuck_at:
             and_mask, or_mask = mask(width), 1 << fault.bit
         else:
             and_mask, or_mask = mask(width) & ~(1 << fault.bit), 0
-        return make_core(state=state, stuck_bits={key: (and_mask, or_mask)})
+        return DspCore(state=state, stuck_bits={key: (and_mask, or_mask)})
     # d / en faults: per-cycle callable override on the traced component.
     name = fault.target[0]
 
@@ -262,7 +234,7 @@ def storage_fault_core(fault: StorageFault,
             en = fault.stuck_at
         return d if en else inputs.get("q", 0)
 
-    core = make_core(state=state)
+    core = DspCore(state=state)
     core_overrides = {name: override}
     # Wrap step to always apply the override.
     original_step = core.step
@@ -413,7 +385,6 @@ class HierarchicalFaultSimulator:
         # checkpoint files keep resuming.
         self.universe = universe if universe is not None \
             else DspFaultUniverse()
-        self.build = self.universe.build
         if block_size % checkpoint_every:
             raise ConfigError(
                 "block_size must be a multiple of checkpoint_every"
@@ -467,14 +438,9 @@ class HierarchicalFaultSimulator:
                 obs.section("sim.hier.prepare"):
             return self._prepare(words)
 
-    def _make_core(self, **kwargs) -> DspCore:
-        if self.build is None:
-            return DspCore(**kwargs)
-        return self.build.make_core(**kwargs)
-
     def _prepare(self, words: List[int]) -> TraceContext:
         names = list(self.universe.comb_faults)
-        core = self._make_core()
+        core = DspCore()
         clean_ports: List[int] = []
         states: List[CoreState] = []
         block_records: Dict[int, Dict[str, Dict]] = {}
@@ -521,7 +487,7 @@ class HierarchicalFaultSimulator:
         from repro.logic.simulator import unpack_output
 
         sim = self.universe.comb_simulators[name]
-        spec = self.universe.spec(name)
+        spec = _spec(name)
         output_nets = sim.netlist.buses[spec.output_bus]
         for block_start in ctx.block_starts:
             rec = ctx.block_records[block_start].get(name)
@@ -561,7 +527,7 @@ class HierarchicalFaultSimulator:
 
     def _fork_at(self, ctx: TraceContext, t: int) -> DspCore:
         """A clean core in the recorded state before cycle ``t``."""
-        return self._make_core(state=ctx.states[t].copy())
+        return DspCore(state=ctx.states[t].copy())
 
     def _propagates(self, name, faulty_word, t, ctx: TraceContext,
                     limit: int) -> bool:
@@ -618,7 +584,7 @@ class HierarchicalFaultSimulator:
         with obs.section("sim.hier.grade_storage"):
             limit = len(ctx.words) if max_cycles is None \
                 else min(max_cycles, len(ctx.words))
-            faulty = storage_fault_core(fault, build=self.build)
+            faulty = storage_fault_core(fault)
             for t in range(limit):
                 if faulty.step(ctx.words[t]).port != ctx.clean_ports[t]:
                     return t

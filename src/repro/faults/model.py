@@ -12,7 +12,7 @@ reported over the collapsed universe, like commercial tools do by default.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.logic.gates import GateType
 from repro.logic.netlist import Netlist

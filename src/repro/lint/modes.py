@@ -24,7 +24,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Optional,
     Set,
     Tuple,
 )
@@ -67,19 +66,11 @@ def component_mode(component: str, cw: ControlWord) -> int:
 
 def static_mode_reachability(
     opcodes: Iterable[Opcode] = tuple(Opcode),
-    build: Optional[Any] = None,
 ) -> Dict[str, FrozenSet[int]]:
-    """component name -> set of modes some opcode decodes to.
-
-    ``build`` analyses a non-paper family point: its component registry
-    and decoder (a family point without a truncater, say, never reaches
-    the "trunc" mode because the builder clears the control bit).
-    """
-    components = COMPONENTS if build is None else build.components
-    cw_fn = control_word if build is None else build.control_word
-    reachable: Dict[str, Set[int]] = {spec.name: set() for spec in components}
-    words = [cw_fn(op) for op in opcodes]
-    for spec in components:
+    """component name -> set of modes some opcode decodes to."""
+    reachable: Dict[str, Set[int]] = {spec.name: set() for spec in COMPONENTS}
+    words = [control_word(op) for op in opcodes]
+    for spec in COMPONENTS:
         for cw in words:
             reachable[spec.name].add(component_mode(spec.name, cw))
     return {name: frozenset(modes) for name, modes in reachable.items()}
@@ -87,7 +78,6 @@ def static_mode_reachability(
 
 def static_unreachable_columns(
     columns: Iterable[Column] = (),
-    build: Optional[Any] = None,
 ) -> List[Column]:
     """Columns whose mode no opcode can decode to.
 
@@ -95,11 +85,8 @@ def static_unreachable_columns(
     paper core this is exactly the shifter's "10"/"11" columns — the modes
     the paper's §2.4 eliminates by hand.
     """
-    if build is None:
-        column_list = list(columns) or all_columns(metrics_only=True)
-    else:
-        column_list = list(columns) or build.all_columns(metrics_only=True)
-    reachable = static_mode_reachability(build=build)
+    column_list = list(columns) or all_columns(metrics_only=True)
+    reachable = static_mode_reachability()
     return [
         (name, mode) for name, mode in column_list
         if mode not in reachable.get(name, frozenset())
@@ -108,7 +95,6 @@ def static_unreachable_columns(
 
 def mode_reachability_crosscheck(
     table: Any,
-    build: Optional[Any] = None,
 ) -> Tuple[List[Column], List[Column]]:
     """Compare static vs dynamic unreachability on one metrics table.
 
@@ -125,7 +111,7 @@ def mode_reachability_crosscheck(
     from repro.selftest.phase2 import unreachable_columns
 
     dynamic = set(unreachable_columns(table))
-    static = set(static_unreachable_columns(table.columns, build=build))
+    static = set(static_unreachable_columns(table.columns))
     dynamic_only = sorted(dynamic - static)
     static_only = sorted(static - dynamic)
     return dynamic_only, static_only

@@ -179,14 +179,6 @@ class NetlistBuilder:
             raise ValueError(f"mux2_bus width mismatch: {len(a)} vs {len(b)}")
         return [self.mux2(sel, ai, bi) for ai, bi in zip(a, b)]
 
-    def mux4_bus(self, sel: Sequence[int], options: Sequence[Sequence[int]]) -> List[int]:
-        """4:1 bus mux from a 2-bit select (``sel[0]`` is the LSB)."""
-        if len(sel) != 2 or len(options) != 4:
-            raise ValueError("mux4_bus needs 2 select bits and 4 options")
-        low = self.mux2_bus(sel[0], options[0], options[1])
-        high = self.mux2_bus(sel[0], options[2], options[3])
-        return self.mux2_bus(sel[1], low, high)
-
     def dff(self, d: int, init: int = 0, name: Optional[str] = None) -> int:
         q = self.net(name)
         self.netlist.add_dff(q, d, init)

@@ -18,8 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro._util import mask
-from repro.dsp.components import COMPONENTS, component_by_name
+from repro.dsp.components import COMPONENTS
 from repro.dsp.core import DspCore
 from repro.dsp.fixedpoint import ACC_WIDTH
 from repro.dsp.isa import Instruction, N_REGISTERS, Opcode, encode
@@ -105,42 +104,31 @@ def default_variants(include_b: bool = True) -> List[InstructionVariant]:
     return variants
 
 
-def prepare_core(variant: InstructionVariant, rng: random.Random,
-                 build=None) -> DspCore:
+def prepare_core(variant: InstructionVariant, rng: random.Random) -> DspCore:
     """A core with random registers and the variant's accumulator state.
 
     Random registers model the effect of the preceding ``ld rnd`` wrapper
     instructions; the accumulator state models the randomisation sequences
-    Phase 2 inserts before 'R' rows.  ``build`` selects a non-paper family
-    point (the draws use its widths, so paper streams are unchanged).
+    Phase 2 inserts before 'R' rows.
     """
-    if build is None:
-        core = DspCore()
-        n_regs, reg_lim, acc_lim = N_REGISTERS, 256, 1 << ACC_WIDTH
-    else:
-        core = build.make_core()
-        n_regs = build.spec.n_registers
-        reg_lim = 1 << build.spec.operand_width
-        acc_lim = 1 << build.spec.acc_width
-    core.state.regs = [rng.randrange(reg_lim) for _ in range(n_regs)]
+    core = DspCore()
+    core.state.regs = [rng.randrange(256) for _ in range(N_REGISTERS)]
     if variant.acc_state == "R":
-        core.state.acc_a = rng.randrange(acc_lim)
-        core.state.acc_b = rng.randrange(acc_lim)
+        core.state.acc_a = rng.randrange(1 << ACC_WIDTH)
+        core.state.acc_b = rng.randrange(1 << ACC_WIDTH)
     return core
 
 
 def trace_variant(variant: InstructionVariant, rng: random.Random,
-                  follow: Sequence[Instruction] = (),
-                  build=None) -> List[Dict]:
+                  follow: Sequence[Instruction] = ()) -> List[Dict]:
     """Execute the variant once; returns per-cycle traces.
 
-    Cycle 0 fetches the instruction, so on the paper core its ID-stage
-    activity (decoder, register reads) is in ``traces[1]`` and its
-    EX-stage activity (MAC components, MacReg/buffer/MUX7/temp) in
-    ``traces[2]``; 3-deep family cores shift each offset down by one
-    (see :func:`component_cycle`).
+    Cycle 0 fetches the instruction, so its ID-stage activity (decoder,
+    register reads) is in ``traces[1]`` and its EX-stage activity (MAC
+    components, MacReg/buffer/temp) in ``traces[2]``; MUX7 sees it in
+    ``traces[3]`` (see :func:`component_cycle`).
     """
-    core = prepare_core(variant, rng, build)
+    core = prepare_core(variant, rng)
     words = [encode(variant.instruction(rng))]
     words += [encode(i) for i in follow]
     words += [_NOP_WORD] * 4
@@ -153,7 +141,7 @@ def trace_variant(variant: InstructionVariant, rng: random.Random,
 
 
 #: Pipeline stage (cycle offset after fetch) where each component processes
-#: the measured instruction (paper core offsets).
+#: the measured instruction.
 ID_STAGE_COMPONENTS = frozenset({"decoder", "regread_a", "regread_b"})
 WB_STAGE_COMPONENTS = frozenset({"mux7"})
 ID_CYCLE = 1
@@ -161,27 +149,24 @@ EX_CYCLE = 2
 WB_CYCLE = 3
 
 
-def component_cycle(name: str, build=None) -> int:
+def component_cycle(name: str) -> int:
     """Cycle offset (after fetch) at which ``name`` sees the instruction."""
-    id_cycle = ID_CYCLE if build is None else build.id_cycle
     if name in ID_STAGE_COMPONENTS:
-        return id_cycle
+        return ID_CYCLE
     if name in WB_STAGE_COMPONENTS:
-        return id_cycle + 2
-    return id_cycle + 1
+        return WB_CYCLE
+    return EX_CYCLE
 
 
 class ControllabilityEngine:
     """Estimates C for every (component, mode) column, per variant."""
 
     def __init__(self, n_samples: int = 200, seed: int = 2004,
-                 rng_factory: Optional[RngFactory] = None,
-                 build=None):
+                 rng_factory: Optional[RngFactory] = None):
         if n_samples < 2:
             raise ConfigError("need at least 2 samples")
         self.n_samples = n_samples
         self.seed = seed
-        self.build = build
         # Injected label->Random factory; the default derives one
         # independent stream per variant from the seed, so measuring
         # any subset of rows (or resuming a campaign) replays exactly.
@@ -199,13 +184,11 @@ class ControllabilityEngine:
         )
 
         rng = self.rng_factory(variant.label)
-        components = (COMPONENTS if self.build is None
-                      else self.build.components)
         port_samples: Dict[Tuple[str, int], Dict[str, List[int]]] = {}
         for _ in range(self.n_samples):
-            traces = trace_variant(variant, rng, build=self.build)
-            for spec in components:
-                cycle = component_cycle(spec.name, self.build)
+            traces = trace_variant(variant, rng)
+            for spec in COMPONENTS:
+                cycle = component_cycle(spec.name)
                 activity = traces[cycle].get(spec.name)
                 if activity is None:
                     continue
@@ -219,7 +202,7 @@ class ControllabilityEngine:
 
         result: Dict[Tuple[str, int], float] = {}
         widths = {
-            spec.name: dict(spec.input_ports) for spec in components
+            spec.name: dict(spec.input_ports) for spec in COMPONENTS
         }
         for key, ports in port_samples.items():
             component = key[0]

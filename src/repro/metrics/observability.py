@@ -32,8 +32,7 @@ from repro.runtime.rng import RngFactory, resolve_factory
 _NOP_WORD = encode(Instruction(Opcode.NOP))
 
 
-def observation_wrapper(variant: InstructionVariant,
-                        build=None) -> List[Instruction]:
+def observation_wrapper(variant: InstructionVariant) -> List[Instruction]:
     """The "Out" wrapper: propagate the instruction's result to the port.
 
     Register-writing instructions are followed by three ``out dest``
@@ -45,8 +44,7 @@ def observation_wrapper(variant: InstructionVariant,
     """
     instr = variant.instruction()
     from repro.dsp.isa import control_word
-    cw_fn = control_word if build is None else build.control_word
-    if cw_fn(variant.opcode).reg_we:
+    if control_word(variant.opcode).reg_we:
         return [Instruction(Opcode.OUT, regb=instr.dest)] * 3
     return []
 
@@ -56,22 +54,15 @@ class ObservabilityEngine:
 
     def __init__(self, n_good: int = 25, errors_per_bit: int = 2,
                  window: int = 8, seed: int = 1977,
-                 rng_factory: Optional[RngFactory] = None,
-                 build=None):
+                 rng_factory: Optional[RngFactory] = None):
         if n_good < 1:
             raise ConfigError("need at least one good simulation")
         self.n_good = n_good
         self.errors_per_bit = errors_per_bit
         self.window = window
         self.seed = seed
-        self.build = build
         # Injected label->Random factory (see ControllabilityEngine).
         self.rng_factory = resolve_factory(seed, rng_factory)
-
-    def _fork(self, state, stuck) -> DspCore:
-        if self.build is None:
-            return DspCore(state=state, stuck_bits=stuck)
-        return self.build.make_core(state=state, stuck_bits=stuck)
 
     # ------------------------------------------------------------------
     def _run_ports(self, core: DspCore, words: Sequence[int],
@@ -106,12 +97,11 @@ class ObservabilityEngine:
 
         for _ in range(self.n_good):
             setup_rng = random.Random(rng.random())
-            core = prepare_core(variant, setup_rng, build=self.build)
+            core = prepare_core(variant, setup_rng)
             snapshot = core.state.copy()
             stuck = dict(core.stuck_bits)
 
-            wrapper = (observation_wrapper(variant, build=self.build)
-                       + list(extra_wrapper))
+            wrapper = observation_wrapper(variant) + list(extra_wrapper)
             words = [encode(variant.instruction(setup_rng))]
             words += [encode(i) for i in wrapper]
             words += [_NOP_WORD] * max(0, self.window - len(words))
@@ -127,10 +117,8 @@ class ObservabilityEngine:
                 traces.append(trace)
                 post_states.append(core.state.copy())
 
-            components = (COMPONENTS if self.build is None
-                          else self.build.components)
-            for spec in components:
-                cycle = component_cycle(spec.name, self.build)
+            for spec in COMPONENTS:
+                cycle = component_cycle(spec.name)
                 if cycle >= len(traces):
                     continue
                 activity = traces[cycle].get(spec.name)
@@ -150,12 +138,14 @@ class ObservabilityEngine:
                         # if a later instruction reads the element.
                         forked_state = post_states[cycle].copy()
                         _set_state_element(forked_state, spec.state_key, bad)
-                        forked = self._fork(forked_state, stuck)
+                        forked = DspCore(state=forked_state,
+                                         stuck_bits=stuck)
                         ports = clean_ports[:cycle + 1] + self._run_ports(
                             forked, words[cycle + 1:]
                         )
                     else:
-                        forked = self._fork(snapshot.copy(), stuck)
+                        forked = DspCore(state=snapshot.copy(),
+                                         stuck_bits=stuck)
                         ports = self._run_ports(
                             forked, words, inject_cycle=cycle,
                             component=spec.name, value=bad,

@@ -12,8 +12,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.runtime.rng import derive_rng
-
 from repro.dsp.simple import (
     SIMPLE_COLUMNS,
     SIMPLE_COLUMN_LABELS,
@@ -25,7 +23,9 @@ from repro.metrics.entropy import (
     combine_independent,
     controllability_from_samples,
 )
-from repro.metrics.table import C_THETA, O_THETA, MetricsCell
+from repro.metrics.table import MetricsCell
+from repro.runtime.errors import ConfigError
+from repro.runtime.rng import derive_rng
 
 Column = Tuple[str, int]
 
@@ -71,6 +71,8 @@ def measure_simple_controllability(
 
     ``rng`` overrides the default per-variant seed-derived stream.
     """
+    if n_samples < 2:
+        raise ConfigError("need at least 2 samples")
     rng = rng if rng is not None else derive_rng(seed, variant.label)
     port_samples: Dict[Column, Dict[str, List[int]]] = {}
     for _ in range(n_samples):
@@ -108,6 +110,8 @@ def measure_simple_observability(
     almost always observable, which is why Table 1's O column is 0.99
     everywhere except behind ``Clr``.
     """
+    if n_good < 1:
+        raise ConfigError("need at least one good simulation")
     rng = rng if rng is not None else derive_rng(seed, variant.label)
     observed: Dict[Column, int] = {}
     injected: Dict[Column, int] = {}

@@ -140,26 +140,16 @@ class MetricsTable:
 def empty_metrics_table(
     variants: Optional[Sequence[InstructionVariant]] = None,
     columns: Optional[Sequence[Column]] = None,
-    build=None,
 ) -> MetricsTable:
     """The table's rows, columns and fault counts, with no cells yet.
 
-    Defaults: every instruction variant and every column of the paper
-    core, or of ``build`` (a :class:`repro.dsp.family.CoreBuild`).
+    Defaults: every instruction variant and every column of the core.
     """
-    rows = list(variants) if variants is not None else default_variants()
-    components = COMPONENTS if build is None else build.components
-    if columns is not None:
-        cols = list(columns)
-    elif build is None:
-        cols = all_columns()
-    else:
-        cols = build.all_columns()
     return MetricsTable(
-        rows=rows,
-        columns=cols,
+        rows=list(variants) if variants is not None else default_variants(),
+        columns=list(columns) if columns is not None else all_columns(),
         fault_counts={
-            spec.name: component_fault_count(spec) for spec in components
+            spec.name: component_fault_count(spec) for spec in COMPONENTS
         },
     )
 
@@ -170,7 +160,6 @@ def measure_cells(
     n_controllability_samples: int = 150,
     n_observability_good: int = 12,
     seed: int = 2004,
-    build=None,
 ) -> Dict[Column, MetricsCell]:
     """Measure C and O for one row: a cell per column it exercises.
 
@@ -179,10 +168,10 @@ def measure_cells(
     the numbers a whole-table run gives.
     """
     c_values = ControllabilityEngine(
-        n_samples=n_controllability_samples, seed=seed, build=build
+        n_samples=n_controllability_samples, seed=seed
     ).measure(row)
     o_values = ObservabilityEngine(
-        n_good=n_observability_good, seed=seed + 1, build=build
+        n_good=n_observability_good, seed=seed + 1
     ).measure(row)
     return {
         column: MetricsCell(c=c_values.get(column, 0.0),
@@ -198,20 +187,18 @@ def build_metrics_table(
     n_observability_good: int = 12,
     seed: int = 2004,
     columns: Optional[Sequence[Column]] = None,
-    build=None,
 ) -> MetricsTable:
     """Measure C and O for every variant and assemble the metrics table.
 
     This is the "Construct Metrics Table" step of the paper's Fig. 3 flow.
     Sample counts default to values that finish in minutes on a laptop;
-    the benchmarks raise them.  ``build`` measures a non-paper family
-    point (a :class:`repro.dsp.family.CoreBuild`).
+    the benchmarks raise them.
     """
-    table = empty_metrics_table(variants, columns, build)
+    table = empty_metrics_table(variants, columns)
     for row in table.rows:
         for column, cell in measure_cells(
             row, table.columns, n_controllability_samples,
-            n_observability_good, seed, build,
+            n_observability_good, seed,
         ).items():
             table.set_cell(row, column, cell)
     return table

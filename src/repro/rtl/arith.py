@@ -68,63 +68,6 @@ def ripple_adder(
     return total, carry
 
 
-def incrementer(
-    b: NetlistBuilder,
-    a: Sequence[int],
-    cin: int,
-) -> List[int]:
-    """Add a single carry-in bit to a bus (no carry-out).
-
-    Cheaper than a full ripple adder against a constant-zero bus, and —
-    unlike that construction — free of untestable half-dead logic.
-    """
-    total: List[int] = []
-    carry = cin
-    for i, bit in enumerate(a):
-        total.append(b.xor(bit, carry))
-        if i < len(a) - 1:
-            carry = b.and_(bit, carry)
-    return total
-
-
-def carry_select_adder(
-    b: NetlistBuilder,
-    a: Sequence[int],
-    bb: Sequence[int],
-    cin: int,
-    block: int = 4,
-    drop_final_carry: bool = False,
-) -> Tuple[List[int], Optional[int]]:
-    """Carry-select add: ripple blocks computed for both carry-ins, the
-    real carry picking each block's result through muxes.
-
-    Word-level behaviour matches :func:`ripple_adder`; the structure is
-    the core family's "carry-select" MAC adder variant (shorter carry
-    chain, more area).  The first block rides the real carry-in directly —
-    duplicating it against constants would only add untestable logic.
-    """
-    if len(a) != len(bb):
-        raise ValueError(f"adder width mismatch: {len(a)} vs {len(bb)}")
-    if block < 1:
-        raise ValueError(f"carry-select block must be >= 1, got {block}")
-    total: List[int] = []
-    carry: Optional[int] = None
-    for start in range(0, len(a), block):
-        a_blk = list(a[start:start + block])
-        b_blk = list(bb[start:start + block])
-        last_block = start + block >= len(a)
-        drop = drop_final_carry and last_block
-        if start == 0:
-            sum_blk, carry = ripple_adder(b, a_blk, b_blk, cin, drop)
-        else:
-            sum0, c0 = ripple_adder(b, a_blk, b_blk, b.const0(), drop)
-            sum1, c1 = ripple_adder(b, a_blk, b_blk, b.const1(), drop)
-            sum_blk = b.mux2_bus(carry, sum0, sum1)
-            carry = None if drop else b.mux2(carry, c0, c1)
-        total.extend(sum_blk)
-    return total, carry
-
-
 def make_adder(width: int, name: str = "adder") -> Netlist:
     """Standalone adder netlist: buses ``a``, ``b``, ``cin`` → ``sum``, ``cout``."""
     b = NetlistBuilder(name)
@@ -138,38 +81,18 @@ def make_adder(width: int, name: str = "adder") -> Netlist:
     return b.finish()
 
 
-#: Adder implementations selectable by the core family's ``adder`` axis.
-ADDER_STYLES = ("ripple", "carry-select")
-
-
-def adder_into(b: NetlistBuilder, a: Sequence[int], bb: Sequence[int],
-               cin: int, style: str = "ripple",
-               drop_final_carry: bool = False,
-               ) -> Tuple[List[int], Optional[int]]:
-    """Add two buses with the named adder structure."""
-    if style == "ripple":
-        return ripple_adder(b, a, bb, cin, drop_final_carry)
-    if style == "carry-select":
-        return carry_select_adder(b, a, bb, cin,
-                                  drop_final_carry=drop_final_carry)
-    raise ValueError(f"unknown adder style {style!r}")
-
-
-def make_addsub(width: int, name: str = "addsub",
-                adder: str = "ripple") -> Netlist:
+def make_addsub(width: int, name: str = "addsub") -> Netlist:
     """Adder/subtracter netlist: ``a``, ``b``, ``sub`` → ``result``.
 
     ``result = a + b`` when ``sub = 0`` and ``a - b`` when ``sub = 1``
-    (two's complement wrap-around, no flags).  ``adder`` picks the carry
-    structure (see :data:`ADDER_STYLES`).
+    (two's complement wrap-around, no flags).
     """
     b = NetlistBuilder(name)
     a = b.input_bus("a", width)
     bb = b.input_bus("b", width)
     sub = b.input("sub")
     b_inverted = [b.xor(bit, sub) for bit in bb]
-    total, _ = adder_into(b, a, b_inverted, sub, adder,
-                          drop_final_carry=True)
+    total, _ = ripple_adder(b, a, b_inverted, sub, drop_final_carry=True)
     b.output_bus("result", total)
     return b.finish()
 

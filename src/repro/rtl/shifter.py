@@ -27,7 +27,6 @@ from typing import List, Sequence
 from repro._util import mask, to_signed, to_unsigned
 from repro.logic.builder import NetlistBuilder
 from repro.logic.netlist import Netlist
-from repro.rtl.arith import incrementer
 
 #: mode encoding → human-readable label
 SHIFT_MODES = {0: "00", 1: "01", 2: "10", 3: "11"}
@@ -120,63 +119,14 @@ def shifter_into(b: NetlistBuilder, data: List[int], amt: List[int],
     return b.mux2_bus(dir_right, left, right)
 
 
-def dedicated_shifter_into(b: NetlistBuilder, data: List[int],
-                           amt: List[int], mode: List[int]) -> List[int]:
-    """Per-mode ("dedicated") implementation of the same shifter.
-
-    Word-level behaviour is identical to :func:`shifter_into`, but each
-    mode owns its datapath: the pass-through and the fixed ±1 shifts are
-    pure wiring, the variable mode drives its own pair of barrels, and a
-    final 4:1 mux selects by the raw mode bits.  This is the area-heavier
-    point of the core family's shifter axis — the shared effective-amount
-    logic of the barrel variant is exactly what it does *not* have, so
-    the two variants distribute testability very differently across the
-    mode columns.
-    """
-    width = len(data)
-    amt_width = len(amt)
-    zero = b.const0()
-
-    # Mode 00: pass-through (buffered so the mux leg is its own site).
-    pass_out = [b.buf(bit) for bit in data]
-    # Mode 10: fixed logical left by one.  Mode 11: fixed arithmetic
-    # right by one.  Both are wiring; buffers keep the legs distinct.
-    left1 = [b.buf(zero)] + [b.buf(data[j]) for j in range(width - 1)]
-    right1 = ([b.buf(data[j + 1]) for j in range(width - 1)]
-              + [b.buf(data[width - 1])])
-
-    # Mode 01: signed variable shift with its own magnitude negator and
-    # its own left/right barrels.
-    sign = amt[-1]
-    inverted = [b.xor(amt[i], sign) for i in range(amt_width - 1)]
-    magnitude = []
-    carry = sign
-    for bit in inverted:
-        magnitude.append(b.xor(bit, carry))
-        carry = b.and_(bit, carry)
-    magnitude.append(carry)
-    var_left = _barrel_left(b, data, magnitude[:amt_width - 1])
-    var_right = _barrel_right_arith(b, data, magnitude)
-    var_out = b.mux2_bus(sign, var_left, var_right)
-
-    return b.mux4_bus(list(mode), [pass_out, var_out, left1, right1])
-
-
 def make_shifter(width: int = 18, amt_width: int = 4,
-                 name: str = "shifter", style: str = "barrel") -> Netlist:
-    """Shifter netlist: buses ``data``, ``amt``, ``mode`` → ``out``.
-
-    ``style`` selects the implementation: ``"barrel"`` (shared barrels,
-    the paper core) or ``"dedicated"`` (per-mode datapaths).
-    """
-    builders = {"barrel": shifter_into, "dedicated": dedicated_shifter_into}
-    if style not in builders:
-        raise ValueError(f"unknown shifter style {style!r}")
+                 name: str = "shifter") -> Netlist:
+    """Shifter netlist: buses ``data``, ``amt``, ``mode`` → ``out``."""
     b = NetlistBuilder(name)
     data = b.input_bus("data", width)
     amt = b.input_bus("amt", amt_width)
     mode = b.input_bus("mode", 2)
-    out = builders[style](b, data, amt, mode)
+    out = shifter_into(b, data, amt, mode)
     b.output_bus("out", out)
     return b.finish()
 

@@ -53,13 +53,13 @@ def _default_runner(checkpoint, unit_timeout, runner,
 class _Lazy:
     """Compute-once holder: expensive setup skipped on full resumes."""
 
-    def __init__(self, build):
-        self._build = build
+    def __init__(self, compute):
+        self._compute = compute
         self._value = None
 
     def __call__(self):
         if self._value is None:
-            self._value = self._build()
+            self._value = self._compute()
         return self._value
 
 
@@ -95,7 +95,7 @@ class HierarchicalCampaign:
 
     def fingerprint(self) -> Dict[str, Any]:
         sim = self.simulator
-        fp = {
+        return {
             "kind": "hierarchical",
             "n_words": len(self.words),
             "n_faults": len(self._fault_map()),
@@ -104,13 +104,6 @@ class HierarchicalCampaign:
             "propagation_window": sim.propagation_window,
             "storage_fault_max_cycles": self.storage_fault_max_cycles,
         }
-        # Family points stamp the core identity; the paper core omits it
-        # so checkpoints recorded before core families existed still
-        # resume.
-        build = getattr(sim, "build", None)
-        if build is not None and not build.spec.is_paper:
-            fp["core"] = build.spec.label()
-        return fp
 
     def _fault_map(self) -> Dict[str, Any]:
         from repro.faults.hierarchical import fault_unit_id
@@ -202,11 +195,9 @@ class MetricsCampaign:
         unit_timeout: Optional[float] = None,
         runner: Optional[CampaignRunner] = None,
         jobs: Optional[int] = None,
-        build=None,
     ):
         from repro.metrics.table import empty_metrics_table
-        self.build = build
-        self._empty = empty_metrics_table(variants, columns, build)
+        self._empty = empty_metrics_table(variants, columns)
         self.variants = self._empty.rows
         self.columns = self._empty.columns
         self.n_controllability_samples = n_controllability_samples
@@ -215,23 +206,18 @@ class MetricsCampaign:
         self.runner = _default_runner(checkpoint, unit_timeout, runner, jobs)
 
     def fingerprint(self) -> Dict[str, Any]:
-        fp = {
+        return {
             "kind": "metrics",
             "seed": self.seed,
             "n_controllability_samples": self.n_controllability_samples,
             "n_observability_good": self.n_observability_good,
             "rows": [v.label for v in self.variants],
         }
-        # Same convention as HierarchicalCampaign: only non-paper family
-        # points stamp the core identity.
-        if self.build is not None and not self.build.spec.is_paper:
-            fp["core"] = self.build.spec.label()
-        return fp
 
     def _measure(self, variant, n_samples: int, n_good: int) -> Dict:
         from repro.metrics.table import measure_cells
         cells = measure_cells(variant, self.columns, n_samples, n_good,
-                              self.seed, self.build)
+                              self.seed)
         return {"cells": {f"{name}|{mode}": [cell.c, cell.o]
                           for (name, mode), cell in cells.items()}}
 

@@ -42,8 +42,7 @@ FORMAT_VERSION = 2
 
 #: A ``.tmp`` younger than this many seconds is left alone by the sweep:
 #: it may belong to a *live* writer mid-``create`` in another process
-#: (two ``repro grade`` or ``repro sweep`` runs can point at one
-#: directory).
+#: (two ``repro grade`` runs can point at one directory).
 #: A crash orphan, by contrast, only gets older.
 TMP_SWEEP_GRACE_SECONDS = 30.0
 
@@ -71,7 +70,7 @@ class CheckpointStore:
         an invariant violation) until someone sweeps it.
 
         Two processes may share a checkpoint directory (two ``repro
-        grade`` or ``repro sweep`` runs pointed at one directory), so
+        grade`` runs pointed at one directory), so
         the sweep must not race a live writer: only files older than
         ``grace`` seconds are swept — a writer completes its ``create``
         in milliseconds, while a crash orphan only ages — and a

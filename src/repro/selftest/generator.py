@@ -19,8 +19,8 @@ times (the loop-back edge in Fig. 3).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 from repro import obs
 from repro.bist.template import RandomLoad
@@ -34,23 +34,8 @@ from repro.selftest.program import Column, TestProgram
 
 #: Registers reserved as random operands (reloaded every iteration).
 RAND_REGS = (0, 1)
-#: Destination registers cycled through by generated instructions
-#: (paper core).
+#: Destination registers cycled through by generated instructions.
 DEST_REGS = tuple(range(2, 12))
-
-
-def dest_registers(build=None) -> Tuple[int, ...]:
-    """Destination registers for a family point.
-
-    The paper core cycles through r2–r11; smaller register files shrink
-    the pool (always leaving the random-operand registers r0/r1 and the
-    shift-amount register r3 out of heavy rotation where possible) so no
-    destination aliases a reserved register through address masking.
-    """
-    if build is None:
-        return DEST_REGS
-    n = build.spec.n_registers
-    return tuple(range(2, max(4, n - 4)))
 
 
 @dataclass
@@ -81,13 +66,11 @@ class SelfTestGenerator:
         o_engine: Optional[ObservabilityEngine] = None,
         max_threshold_reductions: int = 2,
         threshold_step: float = 0.10,
-        build=None,
     ):
         self.table = table
         self.o_engine = o_engine
         self.max_threshold_reductions = max_threshold_reductions
         self.threshold_step = threshold_step
-        self.build = build
 
     # ------------------------------------------------------------------
     def generate(self, **table_kwargs) -> GeneratedSelfTest:
@@ -108,8 +91,7 @@ class SelfTestGenerator:
         else:
             with obs.span("selftest.metrics_table"), \
                     obs.section("selftest.metrics_table"):
-                table = build_metrics_table(build=self.build,
-                                            **table_kwargs)
+                table = build_metrics_table(**table_kwargs)
 
         n_columns = len(table.columns)
         c_theta, o_theta = table.c_theta, table.o_theta
@@ -125,8 +107,7 @@ class SelfTestGenerator:
                       covered=covered1, columns=n_columns)
             with obs.span("selftest.phase2", key=f"round{round_}") as sp, \
                     obs.section("selftest.phase2"):
-                phase2 = run_phase2(view, phase1, o_engine=self.o_engine,
-                                    build=self.build)
+                phase2 = run_phase2(view, phase1, o_engine=self.o_engine)
                 covered2 = n_columns - len(phase2.still_uncovered)
                 sp.set(round=round_, covered=covered2,
                        uncovered=len(phase2.still_uncovered))
@@ -140,8 +121,7 @@ class SelfTestGenerator:
             o_theta -= self.threshold_step
         with obs.span("selftest.assemble"), \
                 obs.section("selftest.assemble"):
-            program = assemble_program(view, phase1, phase2,
-                                       build=self.build)
+            program = assemble_program(view, phase1, phase2)
         return GeneratedSelfTest(
             table=view, phase1=phase1, phase2=phase2, program=program,
             thresholds_used=(c_theta, o_theta),
@@ -151,13 +131,11 @@ class SelfTestGenerator:
 # ----------------------------------------------------------------------
 # Program assembly
 # ----------------------------------------------------------------------
-def _needs_random_acc(variant: InstructionVariant,
-                      build=None) -> Optional[str]:
+def _needs_random_acc(variant: InstructionVariant) -> Optional[str]:
     """Which accumulator ('A'/'B') must be randomised before this row."""
     if variant.acc_state != "R":
         return None
-    cw_fn = control_word if build is None else build.control_word
-    return "B" if cw_fn(variant.opcode).accsel else "A"
+    return "B" if control_word(variant.opcode).accsel else "A"
 
 
 def _concrete_instruction(variant: InstructionVariant, dest: int):
@@ -179,12 +157,10 @@ def _concrete_instruction(variant: InstructionVariant, dest: int):
 
 
 def assemble_program(table: MetricsTable, phase1: Phase1Result,
-                     phase2: Phase2Result, build=None) -> TestProgram:
+                     phase2: Phase2Result) -> TestProgram:
     """Assemble the Fig. 7-style looped program from the phase results."""
     program = TestProgram()
-    cw_fn = control_word if build is None else build.control_word
-    dest_regs = dest_registers(build)
-    dests = itertools.cycle(dest_regs)
+    dests = itertools.cycle(DEST_REGS)
 
     # Operand randomisation (the Load wrapper).
     for reg in RAND_REGS:
@@ -205,7 +181,7 @@ def assemble_program(table: MetricsTable, phase1: Phase1Result,
     def emit_selected(variant: InstructionVariant, covers: Sequence[Column],
                       phase: str,
                       observation: Sequence[Instruction] = ()) -> None:
-        acc = _needs_random_acc(variant, build)
+        acc = _needs_random_acc(variant)
         if acc is not None and not acc_random[acc]:
             emit_randomise(acc)
         # MPY-class instructions overwrite the accumulator: after one runs,
@@ -214,9 +190,9 @@ def assemble_program(table: MetricsTable, phase1: Phase1Result,
         program.add(instr, phase=phase, covers=covers,
                     comment=variant.label, acc_state=variant.acc_state)
         if isinstance(instr, RandomLoad):
-            ctrl = cw_fn(Opcode.LDI)
+            ctrl = control_word(Opcode.LDI)
         else:
-            ctrl = cw_fn(instr.opcode)
+            ctrl = control_word(instr.opcode)
         if ctrl.reg_we:
             program.add(Instruction(Opcode.OUT, regb=instr.dest),
                         phase="wrapper", comment="observe result")
@@ -249,16 +225,16 @@ def assemble_program(table: MetricsTable, phase1: Phase1Result,
     for opcode in Opcode:
         if opcode in used or opcode is Opcode.NOP:
             continue
-        if cw_fn(opcode).acc_we or opcode in (
+        if control_word(opcode).acc_we or opcode in (
                 Opcode.MOV, Opcode.OUT, Opcode.OUTA, Opcode.OUTB):
             variant = InstructionVariant(opcode, "R")
-            acc = _needs_random_acc(variant, build)
+            acc = _needs_random_acc(variant)
             if acc is not None and not acc_random[acc]:
                 emit_randomise(acc)
             instr = _concrete_instruction(variant, next(dests))
             program.add(instr, phase="wrapper", comment="decoder sweep",
                         acc_state=variant.acc_state)
-            if cw_fn(opcode).reg_we:
+            if control_word(opcode).reg_we:
                 program.add(Instruction(Opcode.OUT, regb=instr.dest),
                             phase="wrapper", comment="observe result")
 
@@ -270,7 +246,7 @@ def assemble_program(table: MetricsTable, phase1: Phase1Result,
                 phase="wrapper", comment="Output random value")
     program.add(Instruction(Opcode.OUT, regb=RAND_REGS[1]),
                 phase="wrapper", comment="Output random value")
-    for reg in dest_regs[:2]:
+    for reg in DEST_REGS[:2]:
         program.add(Instruction(Opcode.OUT, regb=reg), phase="wrapper",
                     comment="delayed read (register file path)")
     program.add(Instruction(Opcode.OUTA), phase="wrapper",

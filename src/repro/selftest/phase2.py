@@ -18,7 +18,7 @@ b. *Unreachable modes.*  "Eliminate columns whose control bits are not set
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dsp.isa import Instruction, Opcode
 from repro.metrics.controllability import InstructionVariant
@@ -68,58 +68,30 @@ class Phase2Result:
         return "\n".join(lines)
 
 
-#: Scratch register used by observation tails on the paper core.  Family
-#: points with fewer registers use their highest register instead (12
-#: would alias a random-operand register through address masking).
-_PAPER_OBS_REG = 12
-#: Register holding the shift amount in shift-based observation tails.
-_AMT_REG = 3
-
-
-def observation_register(build=None) -> int:
-    """The scratch register observation tails write through."""
-    if build is None or build.spec.n_registers > _PAPER_OBS_REG:
-        return _PAPER_OBS_REG
-    return build.spec.n_registers - 1
-
-
-def observation_library(build=None) -> Dict[str, List[Tuple[Instruction, ...]]]:
-    """Candidate observation tails per component.  The empty tail (the
-    plain ``out dest`` wrapper) is always tried first."""
-    obs_reg = observation_register(build)
-    return {
-        "acca": [(Instruction(Opcode.OUTA),),
-                 (Instruction(Opcode.SHIFTA, rega=_AMT_REG, dest=obs_reg),
-                  Instruction(Opcode.OUT, regb=obs_reg))],
-        "accb": [(Instruction(Opcode.OUTB),),
-                 (Instruction(Opcode.SHIFTB, rega=_AMT_REG, dest=obs_reg),
-                  Instruction(Opcode.OUT, regb=obs_reg))],
-        "muxg_shifter": [
-            (Instruction(Opcode.MACA_ADD, rega=0, regb=1, dest=obs_reg),
-             Instruction(Opcode.OUT, regb=obs_reg)),
-            (Instruction(Opcode.MACB_ADD, rega=0, regb=1, dest=obs_reg),
-             Instruction(Opcode.OUT, regb=obs_reg))],
-        "muxg_limiter": [(Instruction(Opcode.OUTA),),
-                         (Instruction(Opcode.OUTB),)],
-        "temp": [(Instruction(Opcode.OUT, regb=2),)],
-    }
-
-
-def default_tails(build=None) -> List[Tuple[Instruction, ...]]:
-    obs_reg = observation_register(build)
-    return [
-        (),
-        (Instruction(Opcode.OUTA),),
-        (Instruction(Opcode.OUTB),),
-        (Instruction(Opcode.MACA_ADD, rega=0, regb=1, dest=obs_reg),
-         Instruction(Opcode.OUT, regb=obs_reg)),
-    ]
-
-
-#: Paper-core views kept for importers that predate core families.
-OBSERVATION_LIBRARY: Dict[str, List[Tuple[Instruction, ...]]] = \
-    observation_library()
-_DEFAULT_TAILS: List[Tuple[Instruction, ...]] = default_tails()
+#: Candidate observation tails per component.  The empty tail (the plain
+#: ``out dest`` wrapper) is always tried first.
+OBSERVATION_LIBRARY: Dict[str, List[Tuple[Instruction, ...]]] = {
+    "acca": [(Instruction(Opcode.OUTA),),
+             (Instruction(Opcode.SHIFTA, rega=3, dest=12),
+              Instruction(Opcode.OUT, regb=12))],
+    "accb": [(Instruction(Opcode.OUTB),),
+             (Instruction(Opcode.SHIFTB, rega=3, dest=12),
+              Instruction(Opcode.OUT, regb=12))],
+    "muxg_shifter": [(Instruction(Opcode.MACA_ADD, rega=0, regb=1, dest=12),
+                      Instruction(Opcode.OUT, regb=12)),
+                     (Instruction(Opcode.MACB_ADD, rega=0, regb=1, dest=12),
+                      Instruction(Opcode.OUT, regb=12))],
+    "muxg_limiter": [(Instruction(Opcode.OUTA),),
+                     (Instruction(Opcode.OUTB),)],
+    "temp": [(Instruction(Opcode.OUT, regb=2),)],
+}
+_DEFAULT_TAILS: List[Tuple[Instruction, ...]] = [
+    (),
+    (Instruction(Opcode.OUTA),),
+    (Instruction(Opcode.OUTB),),
+    (Instruction(Opcode.MACA_ADD, rega=0, regb=1, dest=12),
+     Instruction(Opcode.OUT, regb=12)),
+]
 
 
 def unreachable_columns(table: MetricsTable) -> List[Column]:
@@ -136,11 +108,10 @@ def run_phase2(
     table: MetricsTable,
     phase1: Phase1Result,
     o_engine: Optional[ObservabilityEngine] = None,
-    build=None,
 ) -> Phase2Result:
     """Cover the columns Phase 1 left behind."""
     engine = o_engine if o_engine is not None else ObservabilityEngine(
-        n_good=6, build=build
+        n_good=6
     )
     unreachable = [c for c in unreachable_columns(table)
                    if c in phase1.uncovered]
@@ -149,7 +120,7 @@ def run_phase2(
     sequences: List[CoverageSequence] = []
     still: List[Column] = []
     for column in targets:
-        solved = self_sequence_for(column, table, engine, build=build)
+        solved = self_sequence_for(column, table, engine)
         if solved is not None:
             sequences.append(solved)
         else:
@@ -165,7 +136,6 @@ def self_sequence_for(
     column: Column,
     table: MetricsTable,
     engine: ObservabilityEngine,
-    build=None,
 ) -> Optional[CoverageSequence]:
     """Find a (row, observation-tail) pair that covers ``column``."""
     component = column[0]
@@ -176,8 +146,7 @@ def self_sequence_for(
          and cell.c >= table.c_theta),
         key=lambda row: -table.cell(row, column).c,
     )
-    tails = (observation_library(build).get(component, [])
-             + default_tails(build))
+    tails = OBSERVATION_LIBRARY.get(component, []) + _DEFAULT_TAILS
     for row in candidates[:4]:
         for tail in tails:
             o_values = engine.measure(row, extra_wrapper=list(tail))

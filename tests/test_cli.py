@@ -17,6 +17,17 @@ def test_table1_command(capsys):
     assert "Mac R" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["table1", "--samples", "0"],
+    ["table1", "--samples", "1"],
+    ["table1", "--good", "0"],
+])
+def test_table1_rejects_unusable_sample_counts(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_metrics_command(capsys):
     assert main(["metrics", "--samples", "30", "--good", "2",
                  "--columns", "4"]) == 0
@@ -62,6 +73,14 @@ def test_grade_command_checkpoint_resume(tmp_path, capsys):
     assert "faults detected" in out
 
 
+@pytest.mark.parametrize("command", ["generate", "grade", "profile"])
+@pytest.mark.parametrize("iterations", ["0", "-1"])
+def test_empty_loop_is_config_error(command, iterations, capsys):
+    assert main([command, "--iterations", iterations]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "iteration" in err
+
+
 def test_resume_requires_checkpoint(capsys):
     assert main(["grade", "--resume"]) == 2
     err = capsys.readouterr().err
@@ -92,7 +111,7 @@ def test_grade_rejects_bad_jobs(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["grade", "--unit-timeout", "0"],
-    ["sweep", "--unit-timeout", "-1"],
+    ["grade", "--unit-timeout", "-1"],
 ])
 def test_unusable_unit_timeout_is_config_error(argv, capsys):
     assert main(argv) == 2
@@ -214,8 +233,16 @@ def test_testability_command(tmp_path, capsys):
 
 
 def test_testability_rejects_bad_floor(capsys):
-    assert main(["testability", "--floor", "-1"]) == 2
-    assert "floor" in capsys.readouterr().err
+    for floor in ("-1", "0", "2", "nan"):
+        assert main(["testability", "--floor", floor]) == 2
+        assert "--floor must be a probability in (0, 1]" \
+            in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seq_cost", ["-1", "nan"])
+def test_testability_rejects_bad_seq_cost(seq_cost, capsys):
+    assert main(["testability", "--seq-cost", seq_cost]) == 2
+    assert "--seq-cost" in capsys.readouterr().err
 
 
 def test_isa_command(capsys):

@@ -1,6 +1,5 @@
 """Gate-level core: structure and cycle-accurate equivalence with the ISS."""
 
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +9,21 @@ from repro.dsp.core import DspCore
 from repro.dsp.gatelevel import make_gatelevel_core
 from repro.dsp.isa import Instruction, Opcode, encode
 from repro.logic.sequential import SequentialSimulator
+from repro.runtime.integrity import fingerprint_for_netlist
+
+#: Structural hash of the paper core's flat netlist.  Any change to it
+#: changes the core every experiment grades, so it is pinned.
+PAPER_NETLIST_HASH = \
+    "287a7304d18a0508c502078c50cca6a943b5b9f6bea7eb9bb7bfe9ced9949d88"
 
 
 @pytest.fixture(scope="module")
 def flat_core():
     return make_gatelevel_core()
+
+
+def test_netlist_hash_pinned(flat_core):
+    assert fingerprint_for_netlist(flat_core) == PAPER_NETLIST_HASH
 
 
 def test_structure(flat_core):

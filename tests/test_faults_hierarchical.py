@@ -1,19 +1,22 @@
 """Tests for the hierarchical core fault simulator."""
 
+import random
+
 import pytest
 
 from repro.bist.template import RandomLoad, TemplateArchitecture
-from repro.dsp.isa import Instruction, Opcode
+from repro.dsp.isa import Instruction, Opcode, encode
+from repro.faults.combsim import CombFaultSimulator
 from repro.faults.hierarchical import (
     ComponentFault,
     DspFaultUniverse,
     HierarchicalFaultSimulator,
     StorageFault,
+    fault_unit_id,
     storage_fault_core,
     _set_bit_positions,
     _spread,
 )
-from repro.faults.model import Fault
 
 
 def small_universe():
@@ -185,3 +188,63 @@ def test_single_start_per_block_grades():
                                      max_continuous_starts=1)
     result = sim.run(program_words(10))
     assert result.coverage_report().n_detected > 0
+
+
+class ForcedNetSimulator(CombFaultSimulator):
+    """Reference fault simulator: every fault re-simulates the whole
+    netlist with the stuck net forced, instead of walking its cone on
+    top of the good values."""
+
+    def simulate_fault(self, fault, good, n_patterns):
+        stuck = (1 << n_patterns) - 1 if fault.stuck_at else 0
+        inputs = {net: good[net] for net in self.netlist.inputs}
+        faulty = self.sim.run(inputs, n_patterns, forced={fault.net: stuck})
+        changed = {net: value for net, value in enumerate(faulty)
+                   if value != good[net]}
+        detected = 0
+        for out in self.netlist.outputs:
+            detected |= faulty[out] ^ good[out]
+        return detected, changed
+
+
+def _random_program(seed, length=24):
+    """A seeded random instruction stream exercising every format."""
+    rng = random.Random(seed)
+    words = [encode(Instruction(Opcode.LDI, imm=rng.randrange(256),
+                                dest=reg))
+             for reg in range(4)]
+    for _ in range(length):
+        words.append(encode(Instruction(
+            rng.choice(list(Opcode)),
+            rega=rng.randrange(16),
+            regb=rng.randrange(16),
+            dest=rng.randrange(16),
+            imm=rng.randrange(256),
+        )))
+    words.extend(encode(Instruction(Opcode.OUT, regb=rng.randrange(16)))
+                 for _ in range(3))
+    return words
+
+
+def _grade_mux7(words, reference):
+    universe = DspFaultUniverse(components=["mux7"], include_regfile=False)
+    if reference:
+        universe.comb_simulators = {
+            name: ForcedNetSimulator(sim.netlist, sim.fault_list)
+            for name, sim in universe.comb_simulators.items()
+        }
+    sim = HierarchicalFaultSimulator(universe=universe, block_size=32,
+                                     checkpoint_every=8,
+                                     propagation_window=16)
+    result = sim.run(words, storage_fault_max_cycles=96)
+    return sorted((fault_unit_id(f), c)
+                  for f, c in result.first_detect.items())
+
+
+def test_fault_sim_engine_parity():
+    """Hierarchical grading with the cone-walk fault simulator and with
+    the forced-net reference detects identical (fault, cycle)s."""
+    words = _random_program(seed=50314)
+    cone_walk = _grade_mux7(words, reference=False)
+    assert any(c is not None for _, c in cone_walk)
+    assert cone_walk == _grade_mux7(words, reference=True)

@@ -4,8 +4,8 @@ Forks start from the clean state recorded before every cycle, and a
 tier-1 window stops as soon as the fork's state equals the clean state.
 Both are claimed exact.  A test-local reference grader drops both: it
 replays every fork from reset through the traced (slow) core path and
-runs every tier-1 window to its end.  On seeded streams over the paper
-core and two family points the two must give the same first-detect map.
+runs every tier-1 window to its end.  On seeded streams the two must give
+the same first-detect map.
 """
 
 import random
@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro import obs
-from repro.dsp.family import CoreBuild, CoreSpec
+from repro.dsp.core import DspCore
 from repro.dsp.isa import Instruction, Opcode, encode
 from repro.faults.hierarchical import (
     DspFaultUniverse,
@@ -23,20 +23,12 @@ from repro.faults.hierarchical import (
 
 COMPONENTS = ["mux7", "muxb", "limiter", "truncater", "muxg_limiter"]
 
-POINTS = {
-    "paper": CoreSpec.paper(),
-    "depth3": CoreSpec(n_registers=8, operand_width=6, acc_width=14,
-                       pipeline_depth=3, shifter="dedicated"),
-    "depth5": CoreSpec(n_registers=8, operand_width=6, acc_width=14,
-                       pipeline_depth=5, adder="carry-select"),
-}
-
 
 class ReferenceGrader(HierarchicalFaultSimulator):
     """Replays each fork from reset and runs every tier-1 window out."""
 
     def _fork_at(self, ctx, t):
-        fork = self._make_core()
+        fork = DspCore()
         for cycle in range(t):
             fork.step(ctx.words[cycle], trace={})
         return fork
@@ -65,10 +57,10 @@ class CountingGrader(HierarchicalFaultSimulator):
         return detected
 
 
-def _stream(spec, seed, length=160):
+def _stream(seed, length=160):
     """A seeded looped program: loads, MAC-family work and outputs."""
     rng = random.Random(seed)
-    n = spec.n_registers
+    n = 16
     macs = [op for op in Opcode
             if op not in (Opcode.NOP, Opcode.LDI, Opcode.OUT, Opcode.MOV)]
     words = []
@@ -84,25 +76,22 @@ def _stream(spec, seed, length=160):
     return words[:length]
 
 
-def _grade(cls, build, words, **kwargs):
-    universe = DspFaultUniverse(components=COMPONENTS, include_regfile=False,
-                                build=None if build.spec.is_paper else build)
+def _grade(cls, words, **kwargs):
+    universe = DspFaultUniverse(components=COMPONENTS, include_regfile=False)
     sim = cls(universe=universe, block_size=64, checkpoint_every=16,
               propagation_window=24, **kwargs)
     result = sim.run(words)
     return sim, {fault_unit_id(f): c for f, c in result.first_detect.items()}
 
 
-@pytest.mark.parametrize("point", sorted(POINTS))
 @pytest.mark.parametrize("seed", [1, 2])
-def test_shortcuts_keep_first_detect(point, seed):
-    build = CoreBuild.get(POINTS[point])
-    words = _stream(build.spec, seed)
+def test_shortcuts_keep_first_detect(seed):
+    words = _stream(seed)
     with obs.enabled_session(trace=False, metrics=True, profile=False) \
             as session:
-        _, fast = _grade(HierarchicalFaultSimulator, build, words)
+        _, fast = _grade(HierarchicalFaultSimulator, words)
         counters = session.registry.snapshot()["counters"]
-    _, reference = _grade(ReferenceGrader, build, words)
+    _, reference = _grade(ReferenceGrader, words)
     assert fast == reference
     assert any(cycle is not None for cycle in fast.values())
     # The comparison means something only if the exit actually fired.
@@ -111,11 +100,10 @@ def test_shortcuts_keep_first_detect(point, seed):
 
 def test_every_tier1_start_ends_exactly_once():
     """Each tier-1 start ends detected, converged or window-exhausted."""
-    build = CoreBuild.get(CoreSpec.paper())
-    words = _stream(build.spec, seed=3, length=256)
+    words = _stream(seed=3, length=256)
     with obs.enabled_session(trace=False, metrics=True, profile=False) \
             as session:
-        sim, _ = _grade(CountingGrader, build, words)
+        sim, _ = _grade(CountingGrader, words)
         counters = session.registry.snapshot()["counters"]
     starts = counters["sim.hier.tier1_starts"]
     assert starts == sim.starts > 0

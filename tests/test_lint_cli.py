@@ -3,7 +3,6 @@
 import json
 from pathlib import Path
 
-import pytest
 
 from repro.__main__ import main
 

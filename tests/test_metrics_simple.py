@@ -11,6 +11,7 @@ from repro.metrics.simple_metrics import (
     render_table1,
     table1_variants,
 )
+from repro.runtime.errors import ConfigError
 
 
 def test_table1_has_eight_rows():
@@ -83,3 +84,12 @@ def test_individual_engines_deterministic():
     oa = measure_simple_observability(v, n_good=5, seed=2)
     ob = measure_simple_observability(v, n_good=5, seed=2)
     assert oa == ob
+
+
+def test_engines_reject_unusable_sample_counts():
+    """Like the DSP engines: C needs two samples, O one good machine."""
+    v = SimpleVariant(SimpleOp.ADD, "0")
+    with pytest.raises(ConfigError, match="2 samples"):
+        measure_simple_controllability(v, n_samples=1)
+    with pytest.raises(ConfigError, match="good simulation"):
+        measure_simple_observability(v, n_good=0)

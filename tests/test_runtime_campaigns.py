@@ -208,6 +208,41 @@ def test_atpg_campaign_fingerprint_is_stable():
     }
 
 
+def test_hierarchical_campaign_fingerprint_is_stable():
+    """The default campaign's fingerprint, pinned as a literal so that
+    checkpoints written by earlier versions keep resuming."""
+    words = [0x1000, 0x2000, 0x0, 0x0]
+    assert HierarchicalCampaign(words).fingerprint() == {
+        "kind": "hierarchical",
+        "n_words": 4,
+        "n_faults": 2620,
+        "block_size": 256,
+        "checkpoint_every": 32,
+        "propagation_window": 48,
+        "storage_fault_max_cycles": None,
+    }
+
+
+def test_metrics_campaign_fingerprint_is_stable():
+    assert MetricsCampaign().fingerprint() == {
+        "kind": "metrics",
+        "seed": 2004,
+        "n_controllability_samples": 150,
+        "n_observability_good": 12,
+        "rows": [
+            "load", "loadR", "MpyA", "MpyAR", "MpytA", "MpytAR",
+            "MacA+", "MacA+R", "MacA-", "MacA-R", "MactA+", "MactA+R",
+            "MactA-", "MactA-R", "ShiftA", "ShiftAR", "MpyshiftA",
+            "MpyshiftAR", "MpyshiftmacA", "MpyshiftmacAR", "Out", "OutR",
+            "OutrA", "OutrAR", "mov", "movR", "MpyB", "MpyBR", "MpytB",
+            "MpytBR", "MacB+", "MacB+R", "MacB-", "MacB-R", "MactB+",
+            "MactB+R", "MactB-", "MactB-R", "ShiftB", "ShiftBR",
+            "MpyshiftB", "MpyshiftBR", "MpyshiftmacB", "MpyshiftmacBR",
+            "OutrB", "OutrBR",
+        ],
+    }
+
+
 def test_atpg_campaign_matches_run_atpg_baseline(tmp_path):
     """The campaign and the direct function run one recipe: identical
     results field by field, and a resumed rerun executes nothing."""

@@ -5,6 +5,7 @@ import pytest
 from repro.bist.lfsr import Lfsr
 from repro.bist.template import RandomLoad
 from repro.dsp.isa import Instruction, Opcode, decode
+from repro.runtime.errors import ConfigError
 from repro.selftest.program import TestProgram
 from repro.selftest.vectors import (
     expand_program,
@@ -79,6 +80,12 @@ def test_expand_program_rejects_random_one_shot():
     program.add(RandomLoad(0), in_loop=False)
     with pytest.raises(ValueError):
         expand_program(program, 1)
+
+
+@pytest.mark.parametrize("n_iterations", [0, -1])
+def test_expand_program_rejects_empty_loop(n_iterations):
+    with pytest.raises(ConfigError, match="iteration"):
+        expand_program(small_program(), n_iterations)
 
 
 def test_run_with_misr_signature_deterministic():
